@@ -10,13 +10,16 @@ import math
 import os
 import sys
 import warnings
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .dynamics import (
     AmplitudeDampingChannel,
+    BathParams,
     DephasingChannel,
     UnitaryChannel,
     damping_stationary_state,
@@ -25,7 +28,6 @@ from .dynamics import (
     qubit_dephasing_bloch,
 )
 from .entropy_production import (
-    BathParams,
     ep_qubit_damping_closed,
     ep_qubit_dephasing_closed,
     ep_rate_damping_quad,
@@ -165,28 +167,96 @@ def write_csv(path: str, metadata: dict, header: list, rows: list, notes: list) 
             fh.write(f"# warning: {note}\n")
 
 
-def _build_channel(args, j: SpinJ):
-    """Channel plus BathParams (damping) from the rate flags; errors name the flags."""
-    ops = make_spin_operators(j)
+class _Rates(NamedTuple):
+    """A channel with its rates bound: the one place the CLI tells channel kinds apart.
+
+    quad(field) is the quadrature EpReport, closed(tau) the qubit closed
+    form, vn(rho, tau) the von Neumann rate (its qubit closed form when tau
+    is given), time the scaled-time column (name, scale) and meta the rate
+    metadata.  The bound functions look the library functions up as module
+    globals when they run, so whatever is bound to those names then (the
+    benchmark's tracer, say) sees every call.
+    """
+
+    channel: object
+    quad: Callable
+    closed: Callable
+    vn: Callable
+    time: tuple
+    meta: dict
+
+    def sigma_vn(self, rho, tau) -> float:
+        """von Neumann production rate, or NaN where the route is divergent or undefined."""
+        try:
+            return self.vn(rho, tau)
+        except (PurityDivergence, TemperatureDivergence, SupportError):
+            return math.nan
+
+
+def _dephasing(lam: float, j: SpinJ) -> _Rates:
+    channel = DephasingChannel(lam=lam, ops=make_spin_operators(j))
+
+    def vn(rho, tau):
+        if tau is not None:
+            return ep_vn_qubit_dephasing(tau, lam)
+        return vn_rate_dephasing(rho, lam, channel.ops)
+
+    return _Rates(
+        channel=channel,
+        quad=lambda field: ep_rate_dephasing_quad(field, lam, j),
+        closed=lambda tau: ep_qubit_dephasing_closed(tau, lam),
+        vn=vn,
+        time=("lambda_t", lam) if lam > 0 else ("t", 1.0),
+        meta={"lambda": repr(lam)},
+    )
+
+
+def _damping(bath: BathParams, j: SpinJ, meta: dict) -> _Rates:
+    channel = bath.channel(make_spin_operators(j))
+    rho_eq = damping_stationary_state(j, bath.nbar)
+
+    def vn(rho, tau):
+        if tau is not None:
+            return ep_vn_qubit_damping(tau, bath)
+        return ep_vn_general(rho, channel, rho_eq).sigma_dot
+
+    return _Rates(
+        channel=channel,
+        quad=lambda field: ep_rate_damping_quad(field, bath, j),
+        closed=lambda tau: ep_qubit_damping_closed(tau, bath),
+        vn=vn,
+        time=("gamma_bar_t", bath.gamma_bar) if bath.gamma_bar > 0 else ("t", 1.0),
+        meta=meta,
+    )
+
+
+def _build_channel(args, j: SpinJ) -> _Rates:
+    """Channel and bound rates from the rate flags; the library range-checks the rates."""
     if args.channel == "dephasing":
         if args.lam is None:
             raise CliError("--lambda is required for --channel dephasing")
-        if args.lam < 0:
-            raise CliError("--lambda: rate must be >= 0")
-        return DephasingChannel(lam=args.lam, ops=ops), None
+        return _dephasing(args.lam, j)
     if args.tau_bar_z is not None:
         if args.gamma is not None or args.nbar is not None:
             raise CliError("--tau-bar-z is mutually exclusive with --gamma/--nbar")
-        if not -1.0 <= args.tau_bar_z <= 0.0:
-            raise CliError("--tau-bar-z: must lie in [-1, 0]")
         bath = BathParams.from_tau_bar(1.0, args.tau_bar_z)
-    else:
-        if args.gamma is None or args.nbar is None:
-            raise CliError("--channel damping needs --gamma and --nbar (or --tau-bar-z)")
-        if args.gamma < 0 or args.nbar < 0:
-            raise CliError("--gamma/--nbar: rates must be >= 0")
-        bath = BathParams.from_nbar(args.gamma, args.nbar)
-    return bath.channel(ops), bath
+        return _damping(bath, j, {"tau_bar_z": repr(args.tau_bar_z), "gamma_bar": repr(1.0)})
+    if args.gamma is None or args.nbar is None:
+        raise CliError("--channel damping needs --gamma and --nbar (or --tau-bar-z)")
+    bath = BathParams.from_nbar(args.gamma, args.nbar)
+    return _damping(bath, j, {"gamma": repr(args.gamma), "nbar": repr(args.nbar)})
+
+
+def _rows_and_notes(tasks, deterministic: bool) -> tuple:
+    """Run row thunks, each returning (row, floor notes), with QFloorWarning silenced.
+
+    Returns the rows in order and the distinct notes in first-seen order,
+    which the CSV carries as its trailing warning lines.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QFloorWarning)
+        results = _run_tasks(tasks, deterministic)
+    return [row for row, _ in results], list(dict.fromkeys(note for _, notes in results for note in notes))
 
 
 def _initial_state(args, j: SpinJ) -> np.ndarray:
@@ -207,51 +277,15 @@ def _initial_state(args, j: SpinJ) -> np.ndarray:
     return random_state_with_coherence(j.dim, args.coherence, args.seed)
 
 
-def _time_column(channel, bath) -> tuple:
-    """Scaled-time column name and scale factor; raw time if the rate is zero."""
-    if isinstance(channel, DephasingChannel):
-        return ("lambda_t", channel.lam) if channel.lam > 0 else ("t", 1.0)
-    if bath is not None and bath.gamma_bar > 0:
-        return "gamma_bar_t", bath.gamma_bar
-    return "t", 1.0
-
-
-def _common_metadata(args, j: SpinJ, grid: SphereGrid) -> dict:
-    meta = {
+def _common_metadata(args, j: SpinJ, grid: SphereGrid, rates: _Rates) -> dict:
+    return {
         "channel": args.channel,
         "two_j": j.two_j,
         "grid": f"{grid.n_theta}x{grid.n_phi}",
         "deterministic": args.deterministic,
         "version": __version__,
+        **rates.meta,
     }
-    if args.channel == "dephasing":
-        meta["lambda"] = repr(args.lam)
-    else:
-        if args.tau_bar_z is not None:
-            meta["tau_bar_z"] = repr(args.tau_bar_z)
-            meta["gamma_bar"] = repr(1.0)
-        else:
-            meta["gamma"] = repr(args.gamma)
-            meta["nbar"] = repr(args.nbar)
-    return meta
-
-
-def _sigma_vn_value(rho, tau, channel, bath, ops):
-    """vN-route production rate, or NaN where the route is divergent/undefined."""
-    try:
-        if isinstance(channel, DephasingChannel):
-            if tau is not None:
-                return ep_vn_qubit_dephasing(tau, channel.lam)
-            return vn_rate_dephasing(rho, channel.lam, ops)
-        if tau is not None:
-            return ep_vn_qubit_damping(tau, bath)
-        if math.isinf(bath.nbar):
-            rho_eq = np.eye(rho.shape[0]) / rho.shape[0]
-        else:
-            rho_eq = damping_stationary_state(SpinJ(rho.shape[0] - 1), bath.nbar)
-        return ep_vn_general(rho, channel, rho_eq).sigma_dot
-    except (PurityDivergence, TemperatureDivergence, SupportError):
-        return math.nan
 
 
 def _state_columns(j: SpinJ) -> list:
@@ -281,60 +315,36 @@ def _state_values(rho, j: SpinJ) -> list:
 def cmd_evolve(args) -> int:
     j = _parse_j(args.j)
     grid = SphereGrid(*_parse_grid(args.grid))
-    channel, bath = _build_channel(args, j)
+    rates = _build_channel(args, j)
     rho0 = _initial_state(args, j)
     if rho0.shape[0] != j.dim:
         raise CliError(f"initial state dimension {rho0.shape[0]} does not match --j")
     if args.tmax <= 0:
         raise CliError("--tmax: must be > 0")
-    ops = channel.ops
-    traj = evolve(channel, rho0, args.tmax, args.steps)
-    t_name, t_scale = _time_column(channel, bath)
+    traj = evolve(rates.channel, rho0, args.tmax, args.steps)
+    t_name, t_scale = rates.time
     is_qubit = j.dim == 2
 
-    def row_for(index):
-        t = traj.times[index]
-        rho = traj.states[index]
+    def row_for(t, rho):
         field = husimi_field(rho, grid)
-        if isinstance(channel, DephasingChannel):
-            report = ep_rate_dephasing_quad(field, channel.lam, j)
-        else:
-            report = ep_rate_damping_quad(field, bath, j)
-        s_q = wehrl_entropy(field)
+        report = rates.quad(field)
         tau = rho_to_bloch(rho) if is_qubit else None
-        row = [t * t_scale]
-        row.extend(_state_values(rho, j))
-        row.append(von_neumann_entropy(rho))
-        row.append(s_q)
-        row.append(l1_coherence(rho))
-        row.append(report.sigma_dot)
+        row = [t * t_scale, *_state_values(rho, j)]
+        row += [von_neumann_entropy(rho), wehrl_entropy(field), l1_coherence(rho), report.sigma_dot]
         if is_qubit:
-            if isinstance(channel, DephasingChannel):
-                row.append(ep_qubit_dephasing_closed(tau, channel.lam))
-            else:
-                row.append(ep_qubit_damping_closed(tau, bath))
-        row.append(_sigma_vn_value(rho, tau, channel, bath, ops))
-        row.append(report.phi_dot)
-        row.append(len(report.warnings))
-        return row, list(report.warnings)
+            row.append(rates.closed(tau))
+        row += [rates.sigma_vn(rho, tau), report.phi_dot, len(report.warnings)]
+        return row, report.warnings
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", QFloorWarning)
-        results = _run_tasks([lambda i=i: row_for(i) for i in range(len(traj.times))], args.deterministic)
-    notes = []
-    rows = []
-    for row, floor_notes in results:
-        rows.append(row)
-        for note in floor_notes:
-            if note not in notes:
-                notes.append(note)
+    tasks = [lambda t=t, rho=rho: row_for(t, rho) for t, rho in zip(traj.times, traj.states)]
+    rows, notes = _rows_and_notes(tasks, args.deterministic)
 
     header = [t_name] + _state_columns(j) + ["s_vn", "s_q", "c_l1", "sigma_quad"]
     if is_qubit:
         header.append("sigma_closed")
     header += ["sigma_vn", "phi_dot", "warnings_count"]
 
-    meta = _common_metadata(args, j, grid)
+    meta = _common_metadata(args, j, grid, rates)
     meta.update({"command": "evolve", "tmax": repr(args.tmax), "steps": args.steps})
     if args.seed is not None:
         meta["seed"] = args.seed
@@ -347,71 +357,38 @@ def cmd_evolve(args) -> int:
     return 0
 
 
-def _sweep_rows_qubit(channel, bath, j, grid, tau_z, n_points, deterministic):
+SWEEP_HEADER = ["coherence_fig", "coherence_l1", "sigma_wehrl", "sigma_vn"]
+
+
+def _sweep_row(rates: _Rates, grid: SphereGrid, rho, tau, coherence_fig: float) -> tuple:
+    report = rates.quad(husimi_field(rho, grid))
+    return [coherence_fig, l1_coherence(rho), report.sigma_dot, rates.sigma_vn(rho, tau)], report.warnings
+
+
+def _sweep_rows_qubit(rates: _Rates, grid: SphereGrid, tau_z: float, n_points: int, deterministic: bool) -> tuple:
     """Transverse-coherence sweep at fixed tau_z, up to the pure-state boundary."""
     perp_max = math.sqrt(max(0.0, 1.0 - tau_z * tau_z))
-    perps = np.linspace(0.0, perp_max, n_points)
 
     def row_for(perp):
         tau = np.array([perp, 0.0, tau_z])
-        rho = bloch_to_rho(tau)
-        field = husimi_field(rho, grid)
-        if isinstance(channel, DephasingChannel):
-            report = ep_rate_dephasing_quad(field, channel.lam, j)
-        else:
-            report = ep_rate_damping_quad(field, bath, j)
-        try:
-            if isinstance(channel, DephasingChannel):
-                sigma_v = ep_vn_qubit_dephasing(tau, channel.lam)
-            else:
-                sigma_v = ep_vn_qubit_damping(tau, bath)
-        except (PurityDivergence, TemperatureDivergence):
-            sigma_v = math.nan
-        return [2.0 * perp * perp, l1_coherence(rho), report.sigma_dot, sigma_v], list(report.warnings)
+        return _sweep_row(rates, grid, bloch_to_rho(tau), tau, 2.0 * perp * perp)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", QFloorWarning)
-        results = _run_tasks([lambda p=p: row_for(p) for p in perps], deterministic)
-    rows, notes = [], []
-    for row, floor_notes in results:
-        rows.append(row)
-        for note in floor_notes:
-            if note not in notes:
-                notes.append(note)
-    return rows, notes
+    return _rows_and_notes([lambda p=p: row_for(p) for p in np.linspace(0.0, perp_max, n_points)], deterministic)
 
 
-def _sweep_rows_random(channel, bath, j, grid, c_max, n_points, seed, deterministic):
+def _sweep_rows_random(rates: _Rates, j: SpinJ, grid: SphereGrid, c_max, n_points, seed, deterministic) -> tuple:
     """Random-state sweep over l1-coherence targets for dimensions above 2."""
-    ops = channel.ops
-    targets = np.linspace(0.0, c_max, n_points)
 
     def row_for(target):
-        rho = random_state_with_coherence(j.dim, float(target), seed)
-        field = husimi_field(rho, grid)
-        if isinstance(channel, DephasingChannel):
-            report = ep_rate_dephasing_quad(field, channel.lam, j)
-        else:
-            report = ep_rate_damping_quad(field, bath, j)
-        sigma_v = _sigma_vn_value(rho, None, channel, bath, ops)
-        return [math.nan, l1_coherence(rho), report.sigma_dot, sigma_v], list(report.warnings)
+        return _sweep_row(rates, grid, random_state_with_coherence(j.dim, float(target), seed), None, math.nan)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", QFloorWarning)
-        results = _run_tasks([lambda c=c: row_for(c) for c in targets], deterministic)
-    rows, notes = [], []
-    for row, floor_notes in results:
-        rows.append(row)
-        for note in floor_notes:
-            if note not in notes:
-                notes.append(note)
-    return rows, notes
+    return _rows_and_notes([lambda c=c: row_for(c) for c in np.linspace(0.0, c_max, n_points)], deterministic)
 
 
 def cmd_sweep_coherence(args) -> int:
     j = _parse_j(args.j)
     grid = SphereGrid(*_parse_grid(args.grid))
-    channel, bath = _build_channel(args, j)
+    rates = _build_channel(args, j)
     if args.points < 2:
         raise CliError("--points: need at least 2 sweep points")
     if j.dim == 2:
@@ -420,15 +397,13 @@ def cmd_sweep_coherence(args) -> int:
             tau_z = float(_parse_bloch(args.bloch)[2])
             if abs(tau_z) > 1.0:
                 raise CliError("--bloch: |tau_z| must be <= 1")
-        rows, notes = _sweep_rows_qubit(channel, bath, j, grid, tau_z, args.points, args.deterministic)
+        rows, notes = _sweep_rows_qubit(rates, grid, tau_z, args.points, args.deterministic)
     else:
         if args.seed is None or args.coherence is None:
             raise CliError("dim > 2 sweeps need --seed and --coherence (the sweep's maximum)")
-        rows, notes = _sweep_rows_random(
-            channel, bath, j, grid, args.coherence, args.points, args.seed, args.deterministic
-        )
+        rows, notes = _sweep_rows_random(rates, j, grid, args.coherence, args.points, args.seed, args.deterministic)
 
-    meta = _common_metadata(args, j, grid)
+    meta = _common_metadata(args, j, grid, rates)
     meta.update({"command": "sweep-coherence", "points": args.points})
     if args.seed is not None:
         meta["seed"] = args.seed
@@ -436,7 +411,7 @@ def cmd_sweep_coherence(args) -> int:
         meta["coherence_max"] = repr(args.coherence)
     if args.bloch is not None:
         meta["bloch"] = args.bloch
-    write_csv(args.out, meta, ["coherence_fig", "coherence_l1", "sigma_wehrl", "sigma_vn"], rows, notes)
+    write_csv(args.out, meta, SWEEP_HEADER, rows, notes)
     return 0
 
 
@@ -478,15 +453,12 @@ def _fig1(out_dir: str) -> None:
 def _fig2(out_dir: str) -> None:
     """Wehrl vs vN production rates across the coherence sweep, both channels."""
     j = SpinJ(1)
-    ops = make_spin_operators(j)
     grid = SphereGrid(*FIG_GRID)
-    for name, channel, bath in (
-        ("dephasing", DephasingChannel(lam=1.0, ops=ops), None),
-        ("damping", None, BathParams.from_tau_bar(1.0, 0.0)),
+    for name, rates in (
+        ("dephasing", _dephasing(1.0, j)),
+        ("damping", _damping(BathParams.from_tau_bar(1.0, 0.0), j, {"gamma_bar": repr(1.0)})),
     ):
-        if channel is None:
-            channel = bath.channel(ops)
-        rows, notes = _sweep_rows_qubit(channel, bath, j, grid, 0.0, 51, False)
+        rows, notes = _sweep_rows_qubit(rates, grid, 0.0, 51, False)
         meta = {
             "command": "fig",
             "figure": 2,
@@ -496,143 +468,91 @@ def _fig2(out_dir: str) -> None:
             "grid": f"{grid.n_theta}x{grid.n_phi}",
             "points": 51,
             "version": __version__,
+            **rates.meta,
         }
-        if name == "dephasing":
-            meta["lambda"] = repr(1.0)
-        else:
-            meta["gamma_bar"] = repr(1.0)
-        write_csv(
-            os.path.join(out_dir, f"fig2_{name}.csv"),
-            meta,
-            ["coherence_fig", "coherence_l1", "sigma_wehrl", "sigma_vn"],
-            rows,
-            notes,
-        )
+        write_csv(os.path.join(out_dir, f"fig2_{name}.csv"), meta, SWEEP_HEADER, rows, notes)
 
 
-def _sigma_curve_qubit(channel, bath, j, grid, taus):
-    """Quadrature production rate along a list of Bloch vectors."""
-    out = []
-    for tau in taus:
-        field = husimi_field(bloch_to_rho(tau), grid)
-        if isinstance(channel, DephasingChannel):
-            out.append(ep_rate_dephasing_quad(field, channel.lam, j).sigma_dot)
-        else:
-            out.append(ep_rate_damping_quad(field, bath, j).sigma_dot)
-    return out
+def _curve_row(rates: _Rates, grid: SphereGrid, t: float, states) -> tuple:
+    """Row [t, sigma of each state] of a figure's rate curves, with its floor notes."""
+    reports = [rates.quad(husimi_field(rho, grid)) for rho in states]
+    return [t] + [r.sigma_dot for r in reports], [note for r in reports for note in r.warnings]
+
+
+def _write_curves(path: str, rates: _Rates, tasks, coherences, meta: dict) -> None:
+    """Run a figure panel's curve rows and write them under the shared figure metadata."""
+    rows, notes = _rows_and_notes(tasks, False)
+    header = [rates.time[0]] + [f"sigma_c_{c:g}" for c in coherences]
+    meta = {
+        "command": "fig",
+        "grid": "%dx%d" % FIG_GRID,
+        "coherences": ",".join(f"{c:g}" for c in coherences),
+        "version": __version__,
+        **rates.meta,
+        **meta,
+    }
+    write_csv(path, meta, header, rows, notes)
 
 
 def _fig3(out_dir: str) -> None:
-    """Qubit production-rate curves over time, one curve per initial coherence."""
+    """Qubit production-rate curves over time from the closed Bloch solutions, one per initial coherence."""
     j = SpinJ(1)
-    ops = make_spin_operators(j)
     grid = SphereGrid(*FIG_GRID)
     times = np.linspace(0.0, 5.0, 251)
-
-    lam = 1.0
-    deph = DephasingChannel(lam=lam, ops=ops)
-    tau_sq = 0.9
-
-    def deph_curve(c):
-        perp = math.sqrt(c / 2.0)
-        tau_z = math.sqrt(tau_sq - c / 2.0)
-        taus = [qubit_dephasing_bloch([perp, 0.0, tau_z], lam, t / lam) for t in times]
-        return _sigma_curve_qubit(deph, None, j, grid, taus)
-
-    curves = _run_tasks([lambda c=c: deph_curve(c) for c in FIG3_COHERENCES], False)
-    rows = [[t] + [curves[k][i] for k in range(len(FIG3_COHERENCES))] for i, t in enumerate(times)]
-    header = ["lambda_t"] + [f"sigma_c_{c:g}" for c in FIG3_COHERENCES]
-    meta = {
-        "command": "fig",
-        "figure": 3,
-        "panel": "dephasing",
-        "lambda": repr(lam),
-        "tau_sq": repr(tau_sq),
-        "grid": f"{grid.n_theta}x{grid.n_phi}",
-        "coherences": ",".join(f"{c:g}" for c in FIG3_COHERENCES),
-        "version": __version__,
-    }
-    write_csv(os.path.join(out_dir, "fig3_dephasing.csv"), meta, header, rows, [])
-
-    gamma, nbar = 0.5, 0.5
+    lam, tau_sq = 1.0, 0.9
+    gamma, nbar, tau_z0 = 0.5, 0.5, 0.1
     bath = BathParams.from_nbar(gamma, nbar)
-    damp = bath.channel(ops)
-    tau_z0 = 0.1
+    # (panel, rates, initial Bloch vector of a coherence, closed Bloch solution, panel metadata)
+    panels = (
+        (
+            "dephasing",
+            _dephasing(lam, j),
+            lambda c: [math.sqrt(c / 2.0), 0.0, math.sqrt(tau_sq - c / 2.0)],
+            lambda tau0, t: qubit_dephasing_bloch(tau0, lam, t),
+            {"tau_sq": repr(tau_sq)},
+        ),
+        (
+            "damping",
+            _damping(bath, j, {"gamma": repr(gamma), "nbar": repr(nbar), "gamma_bar": repr(bath.gamma_bar)}),
+            lambda c: [math.sqrt(c / 2.0), 0.0, tau_z0],
+            lambda tau0, t: qubit_damping_bloch(tau0, gamma, nbar, t),
+            {"tau_z0": repr(tau_z0)},
+        ),
+    )
+    for name, rates, initial, bloch, meta in panels:
+        scale = rates.time[1]
+        tau0s = [initial(c) for c in FIG3_COHERENCES]
 
-    def damp_curve(c):
-        perp = math.sqrt(c / 2.0)
-        taus = [qubit_damping_bloch([perp, 0.0, tau_z0], gamma, nbar, t / bath.gamma_bar) for t in times]
-        return _sigma_curve_qubit(damp, bath, j, grid, taus)
+        def row_for(t, rates=rates, bloch=bloch, scale=scale, tau0s=tau0s):
+            return _curve_row(rates, grid, t, [bloch_to_rho(bloch(tau0, t / scale)) for tau0 in tau0s])
 
-    curves = _run_tasks([lambda c=c: damp_curve(c) for c in FIG3_COHERENCES], False)
-    rows = [[t] + [curves[k][i] for k in range(len(FIG3_COHERENCES))] for i, t in enumerate(times)]
-    header = ["gamma_bar_t"] + [f"sigma_c_{c:g}" for c in FIG3_COHERENCES]
-    meta = {
-        "command": "fig",
-        "figure": 3,
-        "panel": "damping",
-        "gamma": repr(gamma),
-        "nbar": repr(nbar),
-        "gamma_bar": repr(bath.gamma_bar),
-        "tau_z0": repr(tau_z0),
-        "grid": f"{grid.n_theta}x{grid.n_phi}",
-        "coherences": ",".join(f"{c:g}" for c in FIG3_COHERENCES),
-        "version": __version__,
-    }
-    write_csv(os.path.join(out_dir, "fig3_damping.csv"), meta, header, rows, [])
+        tasks = [lambda t=t: row_for(t) for t in times]
+        meta = {"figure": 3, "panel": name, **meta}
+        _write_curves(os.path.join(out_dir, f"fig3_{name}.csv"), rates, tasks, FIG3_COHERENCES, meta)
 
 
 def _fig4(out_dir: str) -> None:
     """Qutrit production-rate curves for random states at fixed coherence targets."""
     j = SpinJ(2)
-    ops = make_spin_operators(j)
     grid = SphereGrid(*FIG_GRID)
-    lam = 1.0
-    gamma, nbar = 0.5, 0.5
+    lam, gamma, nbar = 1.0, 0.5, 0.5
     bath = BathParams.from_nbar(gamma, nbar)
     n_steps = 250
     states = [random_state_with_coherence(3, c, FIG4_SEED) for c in FIG4_COHERENCES]
+    panels = (
+        ("dephasing", _dephasing(lam, j)),
+        ("damping", _damping(bath, j, {"gamma": repr(gamma), "nbar": repr(nbar), "gamma_bar": repr(bath.gamma_bar)})),
+    )
+    for name, rates in panels:
+        scale = rates.time[1]
+        trajs = [evolve(rates.channel, rho0, 5.0 / scale, n_steps) for rho0 in states]
 
-    for name, channel in (
-        ("dephasing", DephasingChannel(lam=lam, ops=ops)),
-        ("damping", bath.channel(ops)),
-    ):
-        scale = lam if name == "dephasing" else bath.gamma_bar
-        t_raw = 5.0 / scale
+        def row_for(i, rates=rates, scale=scale, trajs=trajs):
+            return _curve_row(rates, grid, scale * trajs[0].times[i], [traj.states[i] for traj in trajs])
 
-        def curve(rho0, chan=channel, is_deph=(name == "dephasing")):
-            traj = evolve(chan, rho0, t_raw, n_steps)
-            sigmas = []
-            for rho in traj.states:
-                field = husimi_field(rho, grid)
-                if is_deph:
-                    sigmas.append(ep_rate_dephasing_quad(field, lam, j).sigma_dot)
-                else:
-                    sigmas.append(ep_rate_damping_quad(field, bath, j).sigma_dot)
-            return traj.times, sigmas
-
-        results = _run_tasks([lambda r=r: curve(r) for r in states], False)
-        times = results[0][0]
-        rows = [[scale * t] + [results[k][1][i] for k in range(len(FIG4_COHERENCES))] for i, t in enumerate(times)]
-        t_name = "lambda_t" if name == "dephasing" else "gamma_bar_t"
-        header = [t_name] + [f"sigma_c_{c:g}" for c in FIG4_COHERENCES]
-        meta = {
-            "command": "fig",
-            "figure": 4,
-            "panel": name,
-            "seed": FIG4_SEED,
-            "grid": f"{grid.n_theta}x{grid.n_phi}",
-            "steps": n_steps,
-            "coherences": ",".join(f"{c:g}" for c in FIG4_COHERENCES),
-            "version": __version__,
-        }
-        if name == "dephasing":
-            meta["lambda"] = repr(lam)
-        else:
-            meta["gamma"] = repr(gamma)
-            meta["nbar"] = repr(nbar)
-            meta["gamma_bar"] = repr(bath.gamma_bar)
-        write_csv(os.path.join(out_dir, f"fig4_{name}.csv"), meta, header, rows, [])
+        tasks = [lambda i=i: row_for(i) for i in range(n_steps + 1)]
+        meta = {"figure": 4, "panel": name, "seed": FIG4_SEED, "steps": n_steps}
+        _write_curves(os.path.join(out_dir, f"fig4_{name}.csv"), rates, tasks, FIG4_COHERENCES, meta)
 
 
 def cmd_fig(args) -> int:

@@ -35,69 +35,136 @@ class UnitaryChannel:
 
 @dataclass(frozen=True, eq=False)
 class DephasingChannel:
-    """Pure dephasing through jz at rate lam >= 0."""
+    """Pure dephasing through jz at a finite rate lam >= 0."""
 
     lam: float
     ops: SpinOperators
     hamiltonian: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.lam < 0.0:
-            raise ValueError(f"dephasing rate must be >= 0, got {self.lam}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"dephasing rate must be finite and >= 0, got {self.lam}")
 
 
-@dataclass(frozen=True, eq=False)
-class AmplitudeDampingChannel:
-    """Thermal ladder damping with rates gamma (nbar + 1) down and gamma nbar up.
+def _bath_rates(gamma: float, nbar: float) -> tuple:
+    """(tau_bar_z, gamma_bar) of a bath at finite occupation, after range-checking gamma and nbar."""
+    if not (0.0 <= gamma < math.inf and 0.0 <= nbar < math.inf):
+        raise ValueError(f"gamma and nbar must be finite and >= 0, got gamma={gamma} nbar={nbar}")
+    return -1.0 / (2.0 * nbar + 1.0), gamma * (2.0 * nbar + 1.0)
 
-    gamma_bar = gamma (2 nbar + 1) is the total relaxation rate; it stays
-    finite in the infinite-temperature limit gamma -> 0, nbar -> inf, which
-    is reachable through the infinite_temperature constructor.
+
+@dataclass(frozen=True)
+class BathParams:
+    """Thermal bath of the damping channel; the one place its rates are derived and checked.
+
+    tau_bar_z = -1/(2 nbar + 1) is the stationary qubit polarization and
+    gamma_bar = gamma (2 nbar + 1) the total relaxation rate.  gamma_bar
+    stays finite at tau_bar_z = 0 (infinite temperature), where gamma
+    itself vanishes.
     """
 
     gamma: float
     nbar: float
-    ops: SpinOperators
-    hamiltonian: np.ndarray | None = None
-    gamma_bar: float = field(default=math.nan)
+    tau_bar_z: float
+    gamma_bar: float
 
     def __post_init__(self):
-        if self.gamma < 0.0 or self.nbar < 0.0:
-            raise ValueError(f"rates must be >= 0, got gamma={self.gamma} nbar={self.nbar}")
-        if math.isnan(self.gamma_bar):
-            if math.isinf(self.nbar):
-                raise ValueError("infinite nbar requires an explicit gamma_bar")
-            object.__setattr__(self, "gamma_bar", self.gamma * (2.0 * self.nbar + 1.0))
+        if not -1.0 <= self.tau_bar_z <= 0.0:
+            raise ValueError(f"tau_bar_z must lie in [-1, 0], got {self.tau_bar_z}")
+        if not 0.0 <= self.gamma_bar < math.inf:
+            raise ValueError(f"gamma_bar must be finite and >= 0, got {self.gamma_bar}")
+        if math.isinf(self.nbar):
+            if self.gamma != 0.0 or self.tau_bar_z != 0.0:
+                raise ValueError("infinite nbar needs gamma = 0 and tau_bar_z = 0")
+            return
+        tau_bar_z, gamma_bar = _bath_rates(self.gamma, self.nbar)
+        if abs(self.tau_bar_z - tau_bar_z) > 1e-9:
+            raise ValueError("tau_bar_z inconsistent with nbar")
+        if abs(self.gamma_bar - gamma_bar) > 1e-9 * max(1.0, gamma_bar):
+            raise ValueError("gamma_bar inconsistent with gamma and nbar")
 
     @classmethod
-    def infinite_temperature(cls, gamma_bar: float, ops: SpinOperators, hamiltonian=None):
-        """Infinite-temperature limit: equal up and down rates gamma_bar / 2."""
-        return cls(gamma=0.0, nbar=math.inf, ops=ops, hamiltonian=hamiltonian, gamma_bar=gamma_bar)
+    def from_nbar(cls, gamma: float, nbar: float) -> "BathParams":
+        tau_bar_z, gamma_bar = _bath_rates(gamma, nbar)
+        return cls(gamma=gamma, nbar=nbar, tau_bar_z=tau_bar_z, gamma_bar=gamma_bar)
 
-    @property
-    def rate_down(self) -> float:
-        return 0.5 * (self.gamma_bar + self.gamma)
+    @classmethod
+    def from_tau_bar(cls, gamma_bar: float, tau_bar_z: float) -> "BathParams":
+        if tau_bar_z == 0.0:
+            return cls(gamma=0.0, nbar=math.inf, tau_bar_z=0.0, gamma_bar=gamma_bar)
+        nbar = 0.5 * (-1.0 / tau_bar_z - 1.0)
+        return cls(gamma=gamma_bar * (-tau_bar_z), nbar=nbar, tau_bar_z=tau_bar_z, gamma_bar=gamma_bar)
 
-    @property
-    def rate_up(self) -> float:
-        return 0.5 * (self.gamma_bar - self.gamma)
-
-    @property
-    def tau_bar_z(self) -> float:
-        """Stationary qubit polarization -1 / (2 nbar + 1)."""
-        if self.gamma_bar == 0.0:
-            return -1.0 if self.nbar == 0.0 else 0.0
-        return -self.gamma / self.gamma_bar
+    def channel(self, ops: SpinOperators) -> "AmplitudeDampingChannel":
+        """Damping channel of this bath; it carries this object, not a copy of its rates."""
+        return AmplitudeDampingChannel._of(self, ops)
 
 
 @dataclass(frozen=True, eq=False)
 class DaviesPair:
-    """One thermal jump pair: lowering operator, its rate, the raising rate, and the transition frequency."""
+    """One thermal jump pair: lowering operator, its rate, the raising rate, and the transition frequency.
+
+    l_plus, the raising operator, is derived once here because the
+    dissipator applies it at every generator evaluation.
+    """
 
     l_minus: np.ndarray
     gamma_minus: float
     gamma_plus: float
     omega: float
+    l_plus: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "l_plus", self.l_minus.conj().T)
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class AmplitudeDampingChannel:
+    """Thermal ladder damping: the single jump pair (J-, gamma (nbar + 1), gamma nbar).
+
+    The channel carries one BathParams and reads gamma, nbar, gamma_bar and
+    tau_bar_z from it.  gamma_bar = gamma (2 nbar + 1) is the total
+    relaxation rate; it stays finite in the infinite-temperature limit
+    gamma -> 0, nbar -> inf, which is reachable through the
+    infinite_temperature constructor or BathParams.channel.
+    """
+
+    bath: BathParams
+    ops: SpinOperators
+    hamiltonian: np.ndarray | None
+    pairs: tuple
+
+    def __init__(self, gamma: float, nbar: float, ops: SpinOperators, hamiltonian=None):
+        self._bind(BathParams.from_nbar(gamma, nbar), ops, hamiltonian)
+
+    def _bind(self, bath: BathParams, ops: SpinOperators, hamiltonian) -> None:
+        pair = DaviesPair(
+            l_minus=ops.jminus,
+            gamma_minus=0.5 * (bath.gamma_bar + bath.gamma),
+            gamma_plus=0.5 * (bath.gamma_bar - bath.gamma),
+            omega=0.0,
+        )
+        object.__setattr__(self, "bath", bath)
+        object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "hamiltonian", hamiltonian)
+        object.__setattr__(self, "pairs", (pair,))
+
+    @classmethod
+    def _of(cls, bath: BathParams, ops: SpinOperators, hamiltonian=None) -> "AmplitudeDampingChannel":
+        """Channel sharing an existing bath, so its rates are not derived a second time."""
+        channel = cls.__new__(cls)
+        channel._bind(bath, ops, hamiltonian)
+        return channel
+
+    @classmethod
+    def infinite_temperature(cls, gamma_bar: float, ops: SpinOperators, hamiltonian=None):
+        """Infinite-temperature limit: equal up and down rates gamma_bar / 2."""
+        return cls._of(BathParams.from_tau_bar(gamma_bar, 0.0), ops, hamiltonian)
+
+    gamma = property(lambda self: self.bath.gamma)
+    nbar = property(lambda self: self.bath.nbar)
+    gamma_bar = property(lambda self: self.bath.gamma_bar)
+    tau_bar_z = property(lambda self: self.bath.tau_bar_z, doc="Stationary qubit polarization -1 / (2 nbar + 1).")
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,21 +233,24 @@ def dephasing_dissipator(lam: float, ops: SpinOperators, rho: np.ndarray) -> np.
     return -0.5 * lam * (ops.jz @ inner - inner @ ops.jz)
 
 
-def amplitude_damping_dissipator(gamma: float, nbar: float, ops: SpinOperators, rho: np.ndarray) -> np.ndarray:
-    """Thermal ladder dissipator with loss gamma (nbar + 1) and gain gamma nbar."""
-    if gamma < 0.0 or nbar < 0.0:
-        raise ValueError(f"rates must be >= 0, got gamma={gamma} nbar={nbar}")
-    return gamma * (nbar + 1.0) * _lindblad_term(ops.jminus, rho) + gamma * nbar * _lindblad_term(ops.jplus, rho)
+def davies_dissipator(spec, rho: np.ndarray) -> np.ndarray:
+    """Sum over the jump pairs of spec (a Davies or damping channel) of both Lindblad terms.
 
-
-def davies_dissipator(spec: DaviesChannel, rho: np.ndarray) -> np.ndarray:
+    This loop is the damping dissipator too: a damping channel is the one
+    pair (J-, gamma (nbar + 1), gamma nbar), built when the channel is.
+    """
     out = np.zeros_like(rho)
     for pair in spec.pairs:
         if pair.gamma_minus != 0.0:
             out = out + pair.gamma_minus * _lindblad_term(pair.l_minus, rho)
         if pair.gamma_plus != 0.0:
-            out = out + pair.gamma_plus * _lindblad_term(pair.l_minus.conj().T, rho)
+            out = out + pair.gamma_plus * _lindblad_term(pair.l_plus, rho)
     return out
+
+
+def amplitude_damping_dissipator(gamma: float, nbar: float, ops: SpinOperators, rho: np.ndarray) -> np.ndarray:
+    """Thermal ladder dissipator with loss gamma (nbar + 1) and gain gamma nbar."""
+    return davies_dissipator(AmplitudeDampingChannel(gamma=gamma, nbar=nbar, ops=ops), rho)
 
 
 def dissipator(spec: ChannelSpec, rho: np.ndarray) -> np.ndarray:
@@ -189,15 +259,7 @@ def dissipator(spec: ChannelSpec, rho: np.ndarray) -> np.ndarray:
         return np.zeros_like(rho)
     if isinstance(spec, DephasingChannel):
         return dephasing_dissipator(spec.lam, spec.ops, rho)
-    if isinstance(spec, AmplitudeDampingChannel):
-        down, up = spec.rate_down, spec.rate_up
-        out = np.zeros_like(rho)
-        if down != 0.0:
-            out = out + down * _lindblad_term(spec.ops.jminus, rho)
-        if up != 0.0:
-            out = out + up * _lindblad_term(spec.ops.jplus, rho)
-        return out
-    if isinstance(spec, DaviesChannel):
+    if isinstance(spec, (AmplitudeDampingChannel, DaviesChannel)):
         return davies_dissipator(spec, rho)
     raise TypeError(f"not a channel spec: {type(spec).__name__}")
 
@@ -286,12 +348,11 @@ def qubit_damping_bloch(tau0, gamma: float, nbar: float, t) -> np.ndarray:
     """
     tau0 = np.asarray(tau0, dtype=float)
     t = np.asarray(t, dtype=float)
-    gamma_bar = gamma * (2.0 * nbar + 1.0)
-    tau_bar_z = -1.0 / (2.0 * nbar + 1.0)
+    bath = BathParams.from_nbar(gamma, nbar)
     out = np.empty(t.shape + (3,))
-    out[..., 0] = tau0[0] * np.exp(-0.5 * gamma_bar * t)
-    out[..., 1] = tau0[1] * np.exp(-0.5 * gamma_bar * t)
-    out[..., 2] = (tau0[2] - tau_bar_z) * np.exp(-gamma_bar * t) + tau_bar_z
+    out[..., 0] = tau0[0] * np.exp(-0.5 * bath.gamma_bar * t)
+    out[..., 1] = tau0[1] * np.exp(-0.5 * bath.gamma_bar * t)
+    out[..., 2] = (tau0[2] - bath.tau_bar_z) * np.exp(-bath.gamma_bar * t) + bath.tau_bar_z
     return out
 
 
@@ -314,28 +375,21 @@ class PauliRates:
 
 
 def pauli_rates_from_davies(spec: DaviesChannel | AmplitudeDampingChannel) -> PauliRates:
-    """Project a Davies channel onto populations: w[n, k] = sum of rate |<n|L|k>|^2.
+    """Project a Davies or damping channel onto populations: w[n, k] = sum of rate |<n|L|k>|^2.
 
     Requires a Hamiltonian diagonal in the working basis (or none), since
     the population sector only closes on itself in that case.
     """
-    if isinstance(spec, AmplitudeDampingChannel):
-        ham = spec.hamiltonian
-        pairs = (
-            DaviesPair(l_minus=spec.ops.jminus, gamma_minus=spec.rate_down, gamma_plus=spec.rate_up, omega=0.0),
-        )
-    else:
-        ham = spec.hamiltonian
-        pairs = spec.pairs
+    ham = spec.hamiltonian
     if ham is not None:
         off = np.abs(np.asarray(ham) - np.diag(np.diag(np.asarray(ham)))).max()
         if off > 1e-12:
             raise BasisError(f"Hamiltonian has off-diagonal weight {off:.3e}")
-    d = pairs[0].l_minus.shape[0]
+    d = spec.pairs[0].l_minus.shape[0]
     w = np.zeros((d, d))
-    for pair in pairs:
+    for pair in spec.pairs:
         down = np.abs(pair.l_minus) ** 2
-        up = np.abs(pair.l_minus.conj().T) ** 2
+        up = np.abs(pair.l_plus) ** 2
         w += pair.gamma_minus * down + pair.gamma_plus * up
     np.fill_diagonal(w, 0.0)
     return PauliRates(w=w)

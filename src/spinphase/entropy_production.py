@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import AmplitudeDampingChannel, apply_liouvillian, dephasing_dissipator
+from .dynamics import BathParams, apply_liouvillian, dephasing_dissipator
 from .errors import (
     BlochNormError,
     DimensionError,
@@ -21,65 +21,13 @@ from .errors import (
     SupportError,
     TemperatureDivergence,
 )
-from .phase_space import HusimiField, Q_FLOOR, wehrl_rate_dissipative
+from .phase_space import FLOOR_NOTE, HusimiField, floor_mask, wehrl_rate_dissipative
 from .spins import SpinJ, check_density_matrix, make_spin_operators
 
 # below the cut the direct forms lose ~eps/x^2 to cancellation; the series
 # truncation error there is ~2 x^8 / 99, so both branches hold ~1e-12
 SERIES_CUT = 1e-2
 PURITY_CUT = 1e-12
-
-
-@dataclass(frozen=True)
-class BathParams:
-    """Thermal bath parameters for the damping channel.
-
-    tau_bar_z = -1/(2 nbar + 1) is the stationary qubit polarization and
-    gamma_bar = gamma (2 nbar + 1) the total relaxation rate.  gamma_bar
-    stays finite at tau_bar_z = 0 (infinite temperature), where gamma
-    itself vanishes.
-    """
-
-    gamma: float
-    nbar: float
-    tau_bar_z: float
-    gamma_bar: float
-
-    def __post_init__(self):
-        if self.gamma < 0.0 or self.gamma_bar < 0.0:
-            raise ValueError("rates must be >= 0")
-        if not (-1.0 <= self.tau_bar_z <= 0.0):
-            raise ValueError(f"tau_bar_z must lie in [-1, 0], got {self.tau_bar_z}")
-        if math.isfinite(self.nbar):
-            if abs(self.tau_bar_z * (2.0 * self.nbar + 1.0) + 1.0) > 1e-9:
-                raise ValueError("tau_bar_z inconsistent with nbar")
-            if abs(self.gamma_bar - self.gamma * (2.0 * self.nbar + 1.0)) > 1e-9 * max(1.0, self.gamma_bar):
-                raise ValueError("gamma_bar inconsistent with gamma and nbar")
-
-    @classmethod
-    def from_nbar(cls, gamma: float, nbar: float) -> "BathParams":
-        if nbar < 0.0 or not math.isfinite(nbar):
-            raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
-        return cls(
-            gamma=gamma,
-            nbar=nbar,
-            tau_bar_z=-1.0 / (2.0 * nbar + 1.0),
-            gamma_bar=gamma * (2.0 * nbar + 1.0),
-        )
-
-    @classmethod
-    def from_tau_bar(cls, gamma_bar: float, tau_bar_z: float) -> "BathParams":
-        if not (-1.0 <= tau_bar_z <= 0.0):
-            raise ValueError(f"tau_bar_z must lie in [-1, 0], got {tau_bar_z}")
-        if tau_bar_z == 0.0:
-            return cls(gamma=0.0, nbar=math.inf, tau_bar_z=0.0, gamma_bar=gamma_bar)
-        nbar = 0.5 * (-1.0 / tau_bar_z - 1.0)
-        return cls(gamma=gamma_bar * (-tau_bar_z), nbar=nbar, tau_bar_z=tau_bar_z, gamma_bar=gamma_bar)
-
-    def channel(self, ops) -> AmplitudeDampingChannel:
-        if math.isinf(self.nbar):
-            return AmplitudeDampingChannel.infinite_temperature(self.gamma_bar, ops)
-        return AmplitudeDampingChannel(gamma=self.gamma, nbar=self.nbar, ops=ops)
 
 
 @dataclass(frozen=True)
@@ -188,16 +136,11 @@ def ep_vn_qubit_damping(tau, bath: BathParams) -> float:
 
 def _masked_log_quadrature(field: HusimiField, numerator: np.ndarray, context: str):
     """Integrate numerator / q with the Husimi floor applied; returns (value, warnings)."""
-    grid = field.grid
-    mask = field.q >= Q_FLOOR
-    notes = ()
-    if not np.all(mask):
-        excluded = float(np.sum(grid.weights_2d[~mask]))
-        notes = (f"{context}: excluded weight {excluded:.3e} below Husimi floor",)
-        warnings.warn(notes[0], QFloorWarning, stacklevel=3)
+    mask, excluded = floor_mask(field, context)
+    notes = (FLOOR_NOTE.format(context, excluded),) if excluded else ()
     integrand = np.zeros_like(field.q)
     integrand[mask] = numerator[mask] / field.q[mask]
-    return grid.integrate(integrand), notes
+    return field.grid.integrate(integrand), notes
 
 
 def ep_rate_dephasing_quad(field: HusimiField, lam: float, j: SpinJ) -> EpReport:

@@ -33,6 +33,7 @@ from .errors import DimensionError, QFloorWarning, RangeError
 from .spins import SpinJ, check_density_matrix
 
 Q_FLOOR = 1e-14
+FLOOR_NOTE = "{}: excluded weight {:.3e} below Husimi floor"
 
 
 class SolidAngle(NamedTuple):
@@ -282,12 +283,9 @@ def husimi_q(rho: np.ndarray, omega: SolidAngle) -> float:
     if not (0.0 <= theta <= math.pi):
         raise RangeError(f"theta must lie in [0, pi], got {theta}")
     j = SpinJ(rho.shape[0] - 1)
-    a = _amplitude_table(j, np.array([theta]), orders=1)[0, :, 0]
-    total = 0.0j
-    for r in range(j.dim):
-        for rp in range(j.dim):
-            total += rho[r, rp] * a[r] * a[rp] * np.exp(1j * (rp - r) * phi)
-    return float(total.real)
+    # Q = u^H rho u with u_r = <J, J - r|Omega> up to a global phase: a_r e^{i r phi}
+    u = _amplitude_table(j, np.array([theta]), orders=1)[0, :, 0] * np.exp(1j * np.arange(j.dim) * phi)
+    return float((u.conj() @ rho @ u).real)
 
 
 def phase_space_jz(field: HusimiField) -> np.ndarray:
@@ -343,23 +341,26 @@ def dissipator_field(field: HusimiField, channel) -> np.ndarray:
     raise TypeError(f"no phase-space dissipator for {type(channel).__name__}")
 
 
-def _floor_mask(field: HusimiField, context: str):
+def floor_mask(field: HusimiField, context: str | None = None) -> tuple:
+    """Nodes where Q clears the Husimi floor, and the quadrature weight of the rest.
+
+    Given a context, an exclusion also raises QFloorWarning with the text
+    FLOOR_NOTE.  The Wehrl entropy passes none: Q ln Q has a removable
+    limit at Q = 0, so the excluded nodes lose nothing.
+    """
     mask = field.q >= Q_FLOOR
-    if not np.all(mask):
-        excluded = float(np.sum(field.grid.weights_2d[~mask]))
-        warnings.warn(
-            f"{context}: excluded {np.count_nonzero(~mask)} nodes (weight {excluded:.3e}) below Husimi floor",
-            QFloorWarning,
-            stacklevel=3,
-        )
-        return mask, excluded
-    return mask, 0.0
+    if mask.all():
+        return mask, 0.0
+    excluded = float(np.sum(field.grid.weights_2d[~mask]))
+    if context is not None:
+        warnings.warn(FLOOR_NOTE.format(context, excluded), QFloorWarning, stacklevel=3)
+    return mask, excluded
 
 
 def wehrl_entropy(field: HusimiField) -> float:
     """Wehrl entropy -(2J+1)/(4 pi) integral of Q ln Q."""
     pref = (field.j.two_j + 1) / (4.0 * np.pi)
-    mask = field.q > Q_FLOOR
+    mask, _ = floor_mask(field)
     integrand = np.zeros_like(field.q)
     integrand[mask] = field.q[mask] * np.log(field.q[mask])
     return -pref * field.grid.integrate(integrand)
@@ -369,7 +370,7 @@ def wehrl_rate_dissipative(field: HusimiField, channel) -> float:
     """Dissipative Wehrl entropy rate -(2J+1)/(4 pi) integral of D(Q) ln Q."""
     pref = (field.j.two_j + 1) / (4.0 * np.pi)
     dvals = dissipator_field(field, channel)
-    mask, _ = _floor_mask(field, "wehrl rate")
+    mask, _ = floor_mask(field, "wehrl rate")
     integrand = np.zeros_like(field.q)
     integrand[mask] = dvals[mask] * np.log(field.q[mask])
     return -pref * field.grid.integrate(integrand)

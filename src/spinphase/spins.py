@@ -89,12 +89,15 @@ def make_spin_operators(j: SpinJ) -> SpinOperators:
 def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate a density matrix and return it as a complex array.
 
-    Enforces hermiticity and unit trace to 1e-12 and eigenvalues above
-    the -1e-10 floor; raises StateValidationError otherwise.
+    Enforces finite entries, hermiticity and unit trace to 1e-12 and
+    eigenvalues above the -1e-10 floor; raises StateValidationError
+    otherwise.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionError(f"density matrix must be square, got shape {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise StateValidationError("density matrix has non-finite entries")
     herm = np.max(np.abs(rho - rho.conj().T))
     if herm > HERMITICITY_TOL:
         raise StateValidationError(f"matrix not Hermitian: max |rho - rho^+| = {herm:.3e}")
@@ -108,10 +111,12 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
 
 
 def bloch_to_rho(tau) -> np.ndarray:
-    """Qubit state (1 + tau . sigma) / 2 from a Bloch vector of norm <= 1."""
+    """Qubit state (1 + tau . sigma) / 2 from a finite Bloch vector of norm <= 1."""
     tau = np.asarray(tau, dtype=float)
     if tau.shape != (3,):
         raise DimensionError(f"Bloch vector must have 3 components, got shape {tau.shape}")
+    if not np.all(np.isfinite(tau)):
+        raise BlochNormError(f"Bloch vector {tau} has non-finite components")
     norm = float(np.linalg.norm(tau))
     if norm > 1.0 + 1e-12:
         raise BlochNormError(f"Bloch norm {norm:.15g} exceeds 1")
@@ -251,8 +256,8 @@ def random_state_with_coherence(dim: int, target_c: float, seed: int, max_attemp
     """Draw a random state whose l1 coherence equals target_c to 1e-6.
 
     The diagonal is sampled from a flat Dirichlet distribution and a random
-    off-diagonal direction is scaled by bisection until the l1 coherence
-    matches; draws failing positivity are rejected and resampled.  For
+    off-diagonal direction, normalized to unit l1 coherence, is scaled by
+    target_c; draws failing positivity are rejected and resampled.  For
     dim = 3 the off-diagonal entries are real.  The same seed always
     returns the same state.
 
@@ -261,8 +266,8 @@ def random_state_with_coherence(dim: int, target_c: float, seed: int, max_attemp
     """
     if dim < 2:
         raise DimensionError(f"dim must be >= 2, got {dim}")
-    if target_c < 0.0:
-        raise ValueError(f"target coherence must be >= 0, got {target_c}")
+    if not 0.0 <= target_c < math.inf:
+        raise ValueError(f"target coherence must be finite and >= 0, got {target_c}")
     rng = np.random.default_rng(seed)
     for _ in range(max_attempts):
         pops = rng.dirichlet(np.ones(dim))
@@ -281,19 +286,7 @@ def random_state_with_coherence(dim: int, target_c: float, seed: int, max_attemp
         if weight == 0.0:
             continue
         direction /= weight
-        # l1 grows linearly in the scale, so bisection pins it quickly
-        lo, hi = 0.0, max(2.0 * target_c, 1.0)
-        while l1_coherence(np.diag(pops) + hi * direction) < target_c:
-            hi *= 2.0
-            if hi > 1e6:
-                break
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if l1_coherence(np.diag(pops) + mid * direction) < target_c:
-                lo = mid
-            else:
-                hi = mid
-        candidate = np.diag(pops) + 0.5 * (lo + hi) * direction
+        candidate = np.diag(pops) + target_c * direction
         if abs(l1_coherence(candidate) - target_c) > 1e-6:
             continue
         if float(np.min(np.linalg.eigvalsh(candidate))) < 1e-12:

@@ -300,3 +300,28 @@ def test_fig2_panels_share_the_sweep_grid(fig_dir):
         column(h_damp, rows_damp, "coherence_fig"),
         atol=1e-12,
     )
+
+
+NON_FINITE_STATE = "dim 2\nnan+0j 0j\n0j 0.5+0j\n"
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["evolve", "--channel", "dephasing", "--lambda", "1.0", "--bloch", "nan,0,0"], "Bloch"),
+        (["evolve", "--channel", "damping", "--gamma", "inf", "--nbar", "0.5", "--bloch", "0.5,0,0"], "gamma"),
+        (["evolve", "--channel", "dephasing", "--lambda", "nan", "--bloch", "0.5,0,0"], "dephasing rate"),
+        (["evolve", "--channel", "dephasing", "--lambda", "1.0", "--state", "STATE"], "non-finite"),
+        (["evolve", "--channel", "dephasing", "--j", "1", "--lambda", "1.0", "--seed", "1", "--coherence", "nan"],
+         "coherence"),
+        (["sweep-coherence", "--channel", "dephasing", "--lambda", "1.0", "--bloch", "0,0,nan"], "Bloch"),
+    ],
+)
+def test_non_finite_input_is_a_named_error(tmp_path, capsys, argv, named):
+    state = tmp_path / "state.txt"
+    state.write_text(NON_FINITE_STATE)
+    out = tmp_path / "o.csv"
+    argv = [str(state) if a == "STATE" else a for a in argv]
+    assert run(argv + ["--out", out]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()

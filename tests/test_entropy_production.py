@@ -60,6 +60,16 @@ def test_bath_params_infinite_temperature():
     assert chan.gamma_bar == pytest.approx(1.4)
 
 
+def test_bath_has_one_value():
+    # the damping channel reads its rates from one BathParams, so both agree
+    assert AmplitudeDampingChannel(gamma=0.0, nbar=0.5, ops=OPS).tau_bar_z == -1.0 / (2 * 0.5 + 1)
+    assert BathParams.from_nbar(0.0, 0.5).tau_bar_z == -1.0 / (2 * 0.5 + 1)
+    for tau_bar_z in (-1.0, -0.9, -0.3, -0.1, 0.0):
+        bath = BathParams.from_tau_bar(1.0, tau_bar_z)
+        chan = bath.channel(OPS)
+        assert (chan.gamma_bar, chan.tau_bar_z) == (bath.gamma_bar, bath.tau_bar_z)
+
+
 def test_bath_params_validation():
     with pytest.raises(ValueError):
         BathParams.from_nbar(-1.0, 0.5)

@@ -1,0 +1,52 @@
+"""The benchmark's tracer (bench/tracer.py) times layers by swapping spinphase
+module attributes it names.  A refactor that renames one, or that makes the
+CLI call a library function through a reference bound at import time, would
+silently blank the per-layer metrics of `bench/run.py --trace 1`."""
+
+import importlib.util
+from pathlib import Path
+from types import SimpleNamespace
+
+from spinphase import cli, dynamics, entropy_production, errors, phase_space, spins
+
+MODULES = SimpleNamespace(
+    cli=cli, dynamics=dynamics, entropy_production=entropy_production, errors=errors,
+    phase_space=phase_space, spins=spins,
+)
+
+
+def load_tracer():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    tracer = load_tracer()
+    names = [(ns, attr) for ns, attr, *_ in tracer.SPANS + tracer.COUNTED] + [("cli", "_run_tasks")]
+    missing = [f"{ns}.{attr}" for ns, attr in names if not callable(getattr(getattr(MODULES, ns), attr, None))]
+    assert not missing
+
+
+def test_cli_calls_go_through_the_traced_names(tmp_path):
+    tracing = load_tracer()
+    tracer = tracing.Tracer(MODULES)
+    tracer.install()
+    try:
+        code = cli.main([
+            "evolve", "--channel", "damping", "--gamma", "1.0", "--nbar", "0.5", "--bloch", "0.5,0,0.2",
+            "--tmax", "0.1", "--steps", "2", "--grid", "16x16", "--deterministic", "--out", str(tmp_path / "o.csv"),
+        ])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    metrics = tracer.metrics(1.0, 1.0, 1.0)
+    rows = 3  # two steps and the initial state
+    assert metrics["cli.rows"] == rows
+    assert metrics["phase_space.husimi_calls"] == rows
+    assert metrics["entropy_production.quad_calls"] == rows
+    assert metrics["entropy_production.vn_calls"] == rows
+    assert metrics["dynamics.steps"] == 2
+    assert metrics["dynamics.liouvillian_calls"] == 4 * 2
