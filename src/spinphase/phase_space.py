@@ -8,17 +8,29 @@ Fourier series
 
     F(theta, phi) = sum_k g_k(theta) exp(i k phi),  |k| <= 2J.
 
-Fields are stored in that spectral form, with each component carrying
-analytic theta-derivative columns.  The differential actions
+A field keeps that series as one dense Spectrum: a complex array
+g[order, k - k0, theta] over a contiguous range of k, where order 0 holds
+the components g_k and orders 1 and 2 their analytic theta-derivatives.
+The differential actions
 
     jz  -> -i d_phi
     j+  ->  exp(+i phi) (d_theta + i cot(theta) d_phi)
     j-  -> -exp(-i phi) (d_theta - i cot(theta) d_phi)
 
-then reduce to exact component-wise recurrences, which keeps the dissipator
-fields free of finite-difference noise.  Quadrature pairs Gauss-Legendre
-nodes in cos(theta) with a uniform phi grid, so there are no polar nodes
-and trigonometric polynomials up to the band limit integrate exactly.
+then reduce to exact recurrences applied to every k at once, which keeps
+the dissipator fields free of finite-difference noise.
+
+Whatever depends only on J and the grid is built on first use and cached
+on the SphereGrid, keyed by 2J: the pair products a_r a_r' of the coherent
+amplitudes with their first and second theta-derivatives, and the phases
+e^{ik phi} for |k| <= 2J + 2.  A state's spectrum is then one broadcast
+product of rho with the pair table, summed along the diagonals k = r' - r,
+and sampling a spectrum on the grid is one (n_theta x K) @ (K x n_phi)
+matrix product against the phase table.
+
+Quadrature pairs Gauss-Legendre nodes in cos(theta) with a uniform phi
+grid, so there are no polar nodes and trigonometric polynomials up to the
+band limit integrate exactly.
 """
 
 import math
@@ -44,7 +56,11 @@ class SolidAngle(NamedTuple):
 
 
 class SphereGrid:
-    """Product quadrature grid: Gauss-Legendre in cos(theta) times uniform phi."""
+    """Product quadrature grid: Gauss-Legendre in cos(theta) times uniform phi.
+
+    The grid also caches the spectral-engine tables of each spin it has
+    sampled a field of; they are built on the first field, not here.
+    """
 
     def __init__(self, n_theta: int = 64, n_phi: int = 64):
         if n_theta < 2 or n_phi < 4:
@@ -62,6 +78,15 @@ class SphereGrid:
         self.cot_theta = self.cos_theta / self.sin_theta
         self.inv_sin2_theta = 1.0 / self.sin_theta**2
         self.weights_2d = np.outer(self.theta_weights, np.full(self.n_phi, 2.0 * np.pi / self.n_phi))
+        self._tables = {}
+
+    def _spin_tables(self, j: SpinJ) -> "_SpinTables":
+        tables = self._tables.get(j.two_j)
+        if tables is None:
+            # built whole, then stored in one step: a pool thread sees all of it or none
+            tables = _build_tables(j, self)
+            self._tables[j.two_j] = tables
+        return tables
 
     def integrate(self, values: np.ndarray) -> float:
         """Integral over the full sphere of values sampled on the grid."""
@@ -129,119 +154,128 @@ def coherent_amplitudes(j: SpinJ, theta: float) -> CoherentAmplitudes:
 
 
 # ---------------------------------------------------------------------------
-# spectral components: dict k -> array (n_orders, n_theta), field = sum_k g_k e^{ik phi}
-
-def _components_from_state(rho: np.ndarray, j: SpinJ, grid: SphereGrid) -> dict:
-    table = _amplitude_table(j, grid.theta_nodes, orders=3)
-    a0, a1, a2 = table
-    comps: dict[int, np.ndarray] = {}
-    d = j.dim
-    for r in range(d):
-        for rp in range(d):
-            w = rho[r, rp]
-            if w == 0.0:
-                continue
-            k = rp - r  # Fourier index m - m' for m = J - r, m' = J - rp
-            stack = np.empty((3, grid.n_theta), dtype=complex)
-            stack[0] = w * a0[r] * a0[rp]
-            stack[1] = w * (a1[r] * a0[rp] + a0[r] * a1[rp])
-            stack[2] = w * (a2[r] * a0[rp] + 2.0 * a1[r] * a1[rp] + a0[r] * a2[rp])
-            if k in comps:
-                comps[k] = comps[k] + stack
-            else:
-                comps[k] = stack
-    return comps
+# dense spectra: g[order, i] is the component k = k0 + i, field = sum_k g_k e^{ik phi}
 
 
-def _orders(comps: dict) -> int:
-    return min(g.shape[0] for g in comps.values()) if comps else 0
+class Spectrum(NamedTuple):
+    """Azimuthal spectrum over the contiguous range k0 ... k0 + K - 1.
+
+    g has shape (orders, K, n_theta): order 0 holds the components g_k and
+    orders 1 and 2 their analytic theta-derivatives.
+    """
+
+    g: np.ndarray
+    k0: int
+
+    @property
+    def ks(self) -> np.ndarray:
+        return self.k0 + np.arange(self.g.shape[1])
 
 
-def _evaluate(comps: dict, grid: SphereGrid, order: int = 0, phi_derivative: bool = False) -> np.ndarray:
-    out = np.zeros((grid.n_theta, grid.n_phi), dtype=complex)
-    for k in sorted(comps):
-        g = comps[k][order]
-        phase = np.exp(1j * k * grid.phi_nodes)
-        if phi_derivative:
-            phase = 1j * k * phase
-        out += np.outer(g, phase)
-    return out
+@dataclass(frozen=True, eq=False)
+class _SpinTables:
+    """What the spectral engine needs of one spin on one grid; read-only once built.
+
+    pairs[:, r, r'] holds a_r a_r', its first theta-derivative and its
+    second, so a state's components are rho[r, r'] times these summed along
+    k = r' - r.  phase[k + k_max] is e^{ik phi} on the phi nodes and dphase
+    its phi-derivative; k_max = 2J + 2 covers every spectrum the ladder
+    recurrences produce from a state.
+    """
+
+    pairs: np.ndarray
+    k_max: int
+    phase: np.ndarray
+    dphase: np.ndarray
 
 
-def _scale_by_k(comps: dict, factor) -> dict:
-    return {k: factor(k) * g for k, g in comps.items()}
+def _build_tables(j: SpinJ, grid: SphereGrid) -> _SpinTables:
+    a0, a1, a2 = _amplitude_table(j, grid.theta_nodes, orders=3)
+    pairs = np.stack((
+        a0[:, None] * a0[None, :],
+        a1[:, None] * a0[None, :] + a0[:, None] * a1[None, :],
+        a2[:, None] * a0[None, :] + 2.0 * a1[:, None] * a1[None, :] + a0[:, None] * a2[None, :],
+    ))
+    k_max = j.two_j + 2
+    ks = np.arange(-k_max, k_max + 1)
+    phase = np.exp(1j * ks[:, None] * grid.phi_nodes[None, :])
+    dphase = 1j * ks[:, None] * phase
+    for table in (pairs, phase, dphase):
+        table.flags.writeable = False
+    return _SpinTables(pairs=pairs, k_max=k_max, phase=phase, dphase=dphase)
 
 
-def _shift_phi(comps: dict, dk: int) -> dict:
-    return {k + dk: g for k, g in comps.items()}
+def _components_from_state(rho: np.ndarray, tables: _SpinTables) -> Spectrum:
+    d = rho.shape[0]
+    rows = np.arange(d)[:, None]
+    # entry (r, r') lands in column k + 2J, k = r' - r (m - m' for m = J - r, m' = J - r')
+    skewed = np.zeros((3, d, 2 * d - 1, tables.pairs.shape[-1]), dtype=complex)
+    skewed[:, rows, np.arange(d) - rows + (d - 1)] = rho[:, :, None] * tables.pairs
+    return Spectrum(skewed.sum(axis=1), 1 - d)
 
 
-def _conjugate(comps: dict) -> dict:
-    return {-k: np.conj(g) for k, g in comps.items()}
+def _evaluate(spec: Spectrum, tables: _SpinTables, order: int = 0, phi_derivative: bool = False) -> np.ndarray:
+    phase = tables.dphase if phi_derivative else tables.phase
+    lo = spec.k0 + tables.k_max
+    return spec.g[order].T @ phase[lo : lo + spec.g.shape[1]]
 
 
-def _add(a: dict, b: dict) -> dict:
-    n = min(_orders(a), _orders(b))
-    out = {k: g[:n].copy() for k, g in a.items()}
-    for k, g in b.items():
-        if k in out:
-            out[k] = out[k] + g[:n]
-        else:
-            out[k] = g[:n].copy()
-    return out
+def _scale_by_k(spec: Spectrum, factor) -> Spectrum:
+    return Spectrum(factor(spec.ks)[:, None] * spec.g, spec.k0)
 
 
-def _mul_theta(comps: dict, h: np.ndarray, dh: np.ndarray | None = None) -> dict:
+def _shift_phi(spec: Spectrum, dk: int) -> Spectrum:
+    return Spectrum(spec.g, spec.k0 + dk)
+
+
+def _conjugate(spec: Spectrum) -> Spectrum:
+    return Spectrum(np.conj(spec.g[:, ::-1]), -(spec.k0 + spec.g.shape[1] - 1))
+
+
+def _add(a: Spectrum, b: Spectrum) -> Spectrum:
+    """Sum of two spectra over the same k range, keeping the derivative orders both carry."""
+    if a.k0 != b.k0 or a.g.shape[1] != b.g.shape[1]:
+        raise ValueError("spectra cover different k ranges")
+    n = min(a.g.shape[0], b.g.shape[0])
+    return Spectrum(a.g[:n] + b.g[:n], a.k0)
+
+
+def _mul_theta(spec: Spectrum, h: np.ndarray, dh: np.ndarray | None = None) -> Spectrum:
     """Multiply by a theta-only function, keeping one derivative when dh is given."""
-    out = {}
-    for k, g in comps.items():
-        if dh is not None and g.shape[0] >= 2:
-            stack = np.empty((2, g.shape[1]), dtype=complex)
-            stack[0] = g[0] * h
-            stack[1] = g[1] * h + g[0] * dh
-        else:
-            stack = (g[0] * h)[None, :]
-        out[k] = stack
-    return out
+    g = spec.g
+    if dh is not None and g.shape[0] >= 2:
+        return Spectrum(np.stack((g[0] * h, g[1] * h + g[0] * dh)), spec.k0)
+    return Spectrum((g[0] * h)[None], spec.k0)
 
 
-def _op_jz(comps: dict) -> dict:
-    """jz action: component k picks up the factor k (from -i d_phi)."""
-    return {k: k * g for k, g in comps.items()}
+def _ladder_terms(spec: Spectrum, grid: SphereGrid, name: str) -> tuple:
+    """k cot(theta) and k / sin^2(theta) per component, after checking a derivative order is stored."""
+    if spec.g.shape[0] < 2:
+        raise ValueError(f"need at least one stored derivative to apply {name}")
+    ks = spec.ks[:, None]
+    return ks * grid.cot_theta, ks * grid.inv_sin2_theta
 
 
-def _op_jplus(comps: dict, grid: SphereGrid) -> dict:
+def _op_jplus(spec: Spectrum, grid: SphereGrid) -> Spectrum:
     """j+ action: e^{i phi} (d_theta + i cot d_phi); consumes one derivative order."""
-    cot = grid.cot_theta
-    inv2 = grid.inv_sin2_theta
-    out = {}
-    for k, g in comps.items():
-        n = g.shape[0]
-        if n < 2:
-            raise ValueError("need at least one stored derivative to apply j+")
-        stack = np.empty((n - 1, g.shape[1]), dtype=complex)
-        stack[0] = g[1] - k * cot * g[0]
-        if n >= 3:
-            stack[1] = g[2] + k * inv2 * g[0] - k * cot * g[1]
-        out[k + 1] = stack
-    return out
+    g = spec.g
+    kcot, kinv2 = _ladder_terms(spec, grid, "j+")
+    out = np.empty((g.shape[0] - 1,) + g.shape[1:], dtype=complex)
+    out[0] = g[1] - kcot * g[0]
+    if g.shape[0] >= 3:
+        out[1] = g[2] + kinv2 * g[0] - kcot * g[1]
+    return Spectrum(out, spec.k0 + 1)
 
 
-def _op_jminus(comps: dict, grid: SphereGrid) -> dict:
+def _op_jminus(spec: Spectrum, grid: SphereGrid) -> Spectrum:
     """j- action: -e^{-i phi} (d_theta - i cot d_phi); consumes one derivative order."""
-    cot = grid.cot_theta
-    inv2 = grid.inv_sin2_theta
-    out = {}
-    for k, g in comps.items():
-        n = g.shape[0]
-        if n < 2:
-            raise ValueError("need at least one stored derivative to apply j-")
-        stack = np.empty((n - 1, g.shape[1]), dtype=complex)
-        stack[0] = -(g[1] + k * cot * g[0])
-        if n >= 3:
-            stack[1] = -(g[2] - k * inv2 * g[0] + k * cot * g[1])
-        out[k - 1] = stack
-    return out
+    g = spec.g
+    kcot, kinv2 = _ladder_terms(spec, grid, "j-")
+    out = np.empty((g.shape[0] - 1,) + g.shape[1:], dtype=complex)
+    out[0] = -(g[1] + kcot * g[0])
+    if g.shape[0] >= 3:
+        out[1] = -(g[2] - kinv2 * g[0] + kcot * g[1])
+    return Spectrum(out, spec.k0 - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +287,10 @@ class HusimiField:
 
     q and dq_dtheta are real arrays of shape (n_theta, n_phi); dq_dphi keeps
     the complex spectral result (its imaginary part is roundoff for a valid
-    state).  spectral holds the azimuthal components with derivative columns
-    and drives the exact differential-operator actions.
+    state).  spectral is the dense Spectrum of Q: components k = -2J ... 2J,
+    each with two theta-derivatives, in one (3, 4J + 1, n_theta) array.  It
+    drives the exact differential-operator actions, which sample their
+    results with the tables the grid caches for this spin.
     """
 
     j: SpinJ
@@ -262,18 +298,19 @@ class HusimiField:
     q: np.ndarray
     dq_dtheta: np.ndarray
     dq_dphi: np.ndarray
-    spectral: dict
+    spectral: Spectrum
 
 
 def husimi_field(rho: np.ndarray, grid: SphereGrid) -> HusimiField:
     """Sample Q = <Omega|rho|Omega> and its first angular derivatives on a grid."""
     rho = check_density_matrix(rho)
     j = SpinJ(rho.shape[0] - 1)
-    comps = _components_from_state(rho, j, grid)
-    q = _evaluate(comps, grid, order=0).real
-    dq_dtheta = _evaluate(comps, grid, order=1).real
-    dq_dphi = _evaluate(comps, grid, order=0, phi_derivative=True)
-    return HusimiField(j=j, grid=grid, q=q, dq_dtheta=dq_dtheta, dq_dphi=dq_dphi, spectral=comps)
+    tables = grid._spin_tables(j)
+    spec = _components_from_state(rho, tables)
+    q = _evaluate(spec, tables, order=0).real
+    dq_dtheta = _evaluate(spec, tables, order=1).real
+    dq_dphi = _evaluate(spec, tables, order=0, phi_derivative=True)
+    return HusimiField(j=j, grid=grid, q=q, dq_dtheta=dq_dtheta, dq_dphi=dq_dphi, spectral=spec)
 
 
 def husimi_q(rho: np.ndarray, omega: SolidAngle) -> float:
@@ -295,15 +332,15 @@ def phase_space_jz(field: HusimiField) -> np.ndarray:
 
 def phase_space_jplus(field: HusimiField) -> np.ndarray:
     """Differential j+ action e^{i phi}(d_theta + i cot d_phi) Q on the grid."""
-    return _evaluate(_op_jplus(field.spectral, field.grid), field.grid)
+    return _evaluate(_op_jplus(field.spectral, field.grid), field.grid._spin_tables(field.j))
 
 
 def phase_space_jminus(field: HusimiField) -> np.ndarray:
     """Differential j- action -e^{-i phi}(d_theta - i cot d_phi) Q on the grid."""
-    return _evaluate(_op_jminus(field.spectral, field.grid), field.grid)
+    return _evaluate(_op_jminus(field.spectral, field.grid), field.grid._spin_tables(field.j))
 
 
-def _damping_flux_components(field: HusimiField, big_m: float) -> dict:
+def _damping_flux_components(field: HusimiField, big_m: float) -> Spectrum:
     """Components of f(Q) = (1/2)(2J Q - jz Q) e^{i phi} sin + (1/2)(cos - M) j+ Q."""
     two_j = field.j.two_j
     grid = field.grid
@@ -324,19 +361,21 @@ def dissipator_field(field: HusimiField, channel) -> np.ndarray:
     if isinstance(channel, DephasingChannel):
         if channel.ops.j != field.j:
             raise DimensionError("channel spin does not match field spin")
-        vals = _evaluate(_scale_by_k(field.spectral, lambda k: -0.5 * channel.lam * k * k), grid)
+        tables = grid._spin_tables(field.j)
+        vals = _evaluate(_scale_by_k(field.spectral, lambda k: -0.5 * channel.lam * k * k), tables)
         return vals.real
     if isinstance(channel, AmplitudeDampingChannel):
         if channel.ops.j != field.j:
             raise DimensionError("channel spin does not match field spin")
+        tables = grid._spin_tables(field.j)
         if math.isinf(channel.nbar):
             jp = _op_jplus(field.spectral, grid)
             jm = _op_jminus(field.spectral, grid)
-            vals = _evaluate(_op_jminus(jp, grid), grid) + _evaluate(_op_jplus(jm, grid), grid)
+            vals = _evaluate(_op_jminus(jp, grid), tables) + _evaluate(_op_jplus(jm, grid), tables)
             return (-0.25 * channel.gamma_bar * vals).real
         big_m = 2.0 * channel.nbar + 1.0
         flux = _damping_flux_components(field, big_m)
-        vals = _evaluate(_op_jminus(flux, grid), grid) - _evaluate(_op_jplus(_conjugate(flux), grid), grid)
+        vals = _evaluate(_op_jminus(flux, grid), tables) - _evaluate(_op_jplus(_conjugate(flux), grid), tables)
         return (0.5 * channel.gamma * vals).real
     raise TypeError(f"no phase-space dissipator for {type(channel).__name__}")
 

@@ -5,6 +5,7 @@ are ordered by decreasing magnetic quantum number, so index 0 is the top
 rung m = +J of the ladder (for a qubit, the upper level).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,11 +68,13 @@ class SpinOperators:
     jminus: np.ndarray
 
 
+@functools.lru_cache(maxsize=32)
 def make_spin_operators(j: SpinJ) -> SpinOperators:
     """Build jx, jy, jz and the ladder pair for spin j.
 
     jz is diagonal with entries J, J-1, ..., -J; the ladder matrix elements
-    are <m+1|J+|m> = sqrt(J(J+1) - m(m+1)).
+    are <m+1|J+|m> = sqrt(J(J+1) - m(m+1)).  Built once per spin and shared,
+    so every array is read-only.
     """
     d = j.dim
     m = j.m_values
@@ -83,6 +86,8 @@ def make_spin_operators(j: SpinJ) -> SpinOperators:
     jminus = jplus.conj().T
     jx = (jplus + jminus) / 2.0
     jy = (jplus - jminus) / 2.0j
+    for op in (jx, jy, jz, jplus, jminus):
+        op.flags.writeable = False
     return SpinOperators(j=j, jx=jx, jy=jy, jz=jz, jplus=jplus, jminus=jminus)
 
 

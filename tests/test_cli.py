@@ -325,3 +325,28 @@ def test_non_finite_input_is_a_named_error(tmp_path, capsys, argv, named):
     assert run(argv + ["--out", out]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_evolve_builds_spin_operators_at_most_once(tmp_path, monkeypatch):
+    # the damping rate needs a channel for dS/dt at every state; it must not
+    # rebuild the spin matrices for each one
+    from spinphase import spins
+
+    built = []
+    real = spins.SpinOperators
+
+    def counting(**fields):
+        built.append(fields["j"])
+        return real(**fields)
+
+    monkeypatch.setattr(spins, "SpinOperators", counting)
+    out = tmp_path / "o.csv"
+    code = run([
+        "evolve", "--channel", "damping", "--j", "4", "--gamma", "1.0", "--nbar", "0.5",
+        "--seed", "3", "--coherence", "0.5", "--tmax", "0.2", "--steps", "20", "--grid", "32x32",
+        "--deterministic", "--out", out,
+    ])
+    assert code == 0
+    _, _, rows, _ = load_csv(out)
+    assert len(rows) == 21
+    assert len(built) <= 1

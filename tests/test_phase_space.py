@@ -393,3 +393,108 @@ def test_husimi_nonnegative_for_valid_states():
         for _ in range(10):
             field = husimi_field(random_rho(rng, two_j + 1), grid)
             assert field.q.min() > -1e-12
+
+
+WORKLOAD_SPINS = (4, 5, 8)
+
+
+def sparse_and_random_states(rng, j):
+    """A random state and three sparse ones whose spectra carry zero components."""
+    d = j.dim
+    top = np.zeros((d, d), dtype=complex)
+    top[0, 0] = 1.0  # |J, J><J, J|: only k = 0, and Q vanishes at the south pole
+    pops = rng.dirichlet(np.ones(d))
+    band = np.diag(np.full(d, 1.0 / d)).astype(complex)
+    offset = 2
+    for r in range(d - offset):
+        band[r, r + offset] = 0.4 / d * np.exp(1j * (0.3 + r))
+        band[r + offset, r] = np.conj(band[r, r + offset])
+    return {"random": random_rho(rng, d), "top": top, "diagonal": np.diag(pops).astype(complex), "band": band}
+
+
+@pytest.mark.parametrize("two_j", WORKLOAD_SPINS)
+def test_husimi_field_matches_pointwise_husimi_at_workload_spins(two_j):
+    j = SpinJ(two_j)
+    grid = SphereGrid(24, 24)
+    for name, rho in sparse_and_random_states(np.random.default_rng(50 + two_j), j).items():
+        field = husimi_field(rho, grid)
+        pointwise = np.array(
+            [[husimi_q(rho, SolidAngle(theta, phi)) for phi in grid.phi_nodes] for theta in grid.theta_nodes]
+        )
+        assert np.abs(field.q - pointwise).max() < 1e-12, name
+
+
+@pytest.mark.parametrize("two_j", WORKLOAD_SPINS)
+def test_husimi_field_derivatives_at_workload_spins(two_j):
+    j = SpinJ(two_j)
+    grid = SphereGrid(24, 24)
+    rng = np.random.default_rng(60 + two_j)
+    delta = 1e-5
+    for name, rho in sparse_and_random_states(rng, j).items():
+        field = husimi_field(rho, grid)
+        assert np.abs(field.dq_dphi.imag).max() < 1e-12, name
+        for _ in range(6):
+            a = int(rng.integers(1, grid.n_theta - 1))
+            b = int(rng.integers(0, grid.n_phi))
+            theta, phi = grid.theta_nodes[a], grid.phi_nodes[b]
+            fd_theta = (
+                husimi_q(rho, SolidAngle(theta + delta, phi)) - husimi_q(rho, SolidAngle(theta - delta, phi))
+            ) / (2.0 * delta)
+            fd_phi = (
+                husimi_q(rho, SolidAngle(theta, phi + delta)) - husimi_q(rho, SolidAngle(theta, phi - delta))
+            ) / (2.0 * delta)
+            assert field.dq_dtheta[a, b] == pytest.approx(fd_theta, abs=1e-6), name
+            assert field.dq_dphi[a, b].real == pytest.approx(fd_phi, abs=1e-6), name
+
+
+@pytest.mark.parametrize("two_j", WORKLOAD_SPINS)
+def test_dissipator_fields_match_matrix_dissipators_at_workload_spins(two_j):
+    j = SpinJ(two_j)
+    ops = make_spin_operators(j)
+    grid = SphereGrid(24, 24)
+    channels = (
+        DephasingChannel(lam=1.3, ops=ops),
+        AmplitudeDampingChannel(gamma=0.7, nbar=0.5, ops=ops),
+        AmplitudeDampingChannel.infinite_temperature(0.9, ops),
+    )
+    for name, rho in sparse_and_random_states(np.random.default_rng(70 + two_j), j).items():
+        field = husimi_field(rho, grid)
+        for chan in channels:
+            oracle = brute_husimi(dissipator(chan, rho), j, grid)
+            assert np.abs(dissipator_field(field, chan) - oracle).max() < 1e-12, (name, chan)
+
+
+def test_one_grid_serves_several_spins():
+    # the grid caches its tables per spin; alternating spins must not mix them
+    grid = SphereGrid(24, 24)
+    rng = np.random.default_rng(80)
+    for two_j in (8, 5, 8, 1, 5):
+        j = SpinJ(two_j)
+        rho = random_rho(rng, j.dim)
+        field = husimi_field(rho, grid)
+        fresh = husimi_field(rho, SphereGrid(24, 24))
+        assert np.array_equal(field.q, fresh.q)
+        assert np.abs(field.q - brute_husimi(rho, j, grid)).max() < 1e-12
+        chan = AmplitudeDampingChannel(gamma=1.0, nbar=0.5, ops=make_spin_operators(j))
+        assert np.array_equal(dissipator_field(field, chan), dissipator_field(fresh, chan))
+
+
+def test_grid_builds_spin_tables_on_first_field(monkeypatch):
+    from spinphase import phase_space
+
+    calls = []
+    real = phase_space._amplitude_table
+
+    def counting(j, thetas, orders=3):
+        calls.append(j.two_j)
+        return real(j, thetas, orders)
+
+    monkeypatch.setattr(phase_space, "_amplitude_table", counting)
+    grid = SphereGrid(128, 128)
+    assert calls == []
+    rng = np.random.default_rng(81)
+    for _ in range(3):
+        husimi_field(random_rho(rng, 9), grid)
+    assert calls == [8]
+    husimi_field(random_rho(rng, 2), grid)
+    assert calls == [8, 1]
