@@ -429,11 +429,10 @@ def _fig1(out_dir: str) -> None:
     rho0 = bloch_to_rho([0.0, 0.0, 1.0])
     closed = evolve(UnitaryChannel(hamiltonian=0.5 * omega0 * PAULI_X), rho0, 20.0, 2000)
     damped = evolve(AmplitudeDampingChannel(gamma=0.5, nbar=0.5, ops=ops), rho0, 20.0, 2000)
-    rows = []
-    for idx, t in enumerate(closed.times):
-        tc = rho_to_bloch(closed.states[idx])
-        td = rho_to_bloch(damped.states[idx])
-        rows.append([t, tc[0], tc[1], tc[2], td[0], td[1], td[2]])
+    rows = [
+        [t, *tc, *td]
+        for t, tc, td in zip(closed.times, rho_to_bloch(closed.states), rho_to_bloch(damped.states))
+    ]
     meta = {
         "command": "fig",
         "figure": 1,

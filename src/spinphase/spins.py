@@ -27,7 +27,6 @@ SUPPORT_TOL = 1e-10
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULI = (PAULI_X, PAULI_Y, PAULI_Z)
 
 
 @dataclass(frozen=True)
@@ -130,11 +129,21 @@ def bloch_to_rho(tau) -> np.ndarray:
 
 
 def rho_to_bloch(rho: np.ndarray) -> np.ndarray:
-    """Bloch components tau_i = Re tr(sigma_i rho) of a qubit state."""
+    """Bloch components tau_i = Re tr(sigma_i rho) of a qubit state, or of each state in a (..., 2, 2) stack.
+
+    Returns shape (..., 3): (Re(rho01 + rho10), Im rho10 - Im rho01, Re(rho00 - rho11)).
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
+    if rho.shape[-2:] != (2, 2):
         raise DimensionError(f"expected a 2x2 matrix, got shape {rho.shape}")
-    return np.array([float(np.trace(s @ rho).real) for s in PAULI])
+    return np.stack(
+        [
+            (rho[..., 0, 1] + rho[..., 1, 0]).real,
+            rho[..., 1, 0].imag - rho[..., 0, 1].imag,
+            (rho[..., 0, 0] - rho[..., 1, 1]).real,
+        ],
+        axis=-1,
+    )
 
 
 def l1_coherence(rho: np.ndarray) -> float:

@@ -32,6 +32,7 @@ from spinphase import (
     qubit_dephasing_bloch,
     rho_to_bloch,
 )
+from spinphase import dynamics
 from spinphase.spins import PAULI_X
 
 QUBIT = SpinJ(1)
@@ -342,3 +343,83 @@ def test_coherence_ep_rate_needs_three_points():
     states = np.stack([np.eye(2, dtype=complex) / 2.0] * 2)
     with pytest.raises(ValueError):
         coherence_ep_rate(Trajectory(times=times, states=states))
+
+
+def rk4_oracle(spec, rho0, t_max, n_steps):
+    """Reference propagation: four generator calls per RK4 step, then re-hermitize and renormalize."""
+    h = t_max / n_steps
+    rho = np.asarray(rho0, dtype=complex)
+    states = [rho]
+    for _ in range(n_steps):
+        k1 = apply_liouvillian(spec, rho)
+        k2 = apply_liouvillian(spec, rho + 0.5 * h * k1)
+        k3 = apply_liouvillian(spec, rho + 0.5 * h * k2)
+        k4 = apply_liouvillian(spec, rho + h * k3)
+        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = 0.5 * (rho + rho.conj().T)
+        rho = rho / np.trace(rho).real
+        states.append(rho)
+    return np.stack(states)
+
+
+def channel_zoo(two_j):
+    """One channel of every kind at spin two_j / 2, each with a Hamiltonian where the kind takes one."""
+    ops = make_spin_operators(SpinJ(two_j))
+    ham = ops.jx + 0.3 * ops.jz
+    pairs = (
+        DaviesPair(l_minus=ops.jminus, gamma_minus=0.6, gamma_plus=0.0, omega=1.0),
+        DaviesPair(l_minus=ops.jz, gamma_minus=0.2, gamma_plus=0.0, omega=0.0),
+    )
+    return {
+        "unitary": UnitaryChannel(hamiltonian=ham),
+        "dephasing": DephasingChannel(lam=0.5, ops=ops, hamiltonian=ham),
+        "damping": AmplitudeDampingChannel(gamma=0.7, nbar=0.5, ops=ops),
+        "damping_infinite_t": AmplitudeDampingChannel.infinite_temperature(0.9, ops),
+        "davies": DaviesChannel.with_beta(pairs, beta=0.8, hamiltonian=ops.jz),
+    }
+
+
+@pytest.mark.parametrize("kind", ["unitary", "dephasing", "damping", "damping_infinite_t", "davies"])
+@pytest.mark.parametrize("two_j", [1, 2, 4, 8])
+def test_evolve_step_map_matches_per_step_rk4(two_j, kind):
+    spec = channel_zoo(two_j)[kind]
+    rho0 = random_rho(np.random.default_rng(two_j), two_j + 1)
+    traj = evolve(spec, rho0, 1.0, 100)
+    np.testing.assert_allclose(traj.states, rk4_oracle(spec, rho0, 1.0, 100), rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("two_j", [1, 4])
+def test_apply_liouvillian_on_a_stack_equals_each_matrix(two_j):
+    d = two_j + 1
+    rng = np.random.default_rng(7)
+    stack = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
+    for spec in channel_zoo(two_j).values():
+        each = np.stack([apply_liouvillian(spec, m) for m in stack])
+        assert np.array_equal(apply_liouvillian(spec, stack), each)
+        with pytest.raises(DimensionError):
+            apply_liouvillian(spec, np.zeros((5, d + 1, d + 1), dtype=complex))
+
+
+def test_evolve_warns_on_coarse_damping_of_a_pure_state():
+    ops = make_spin_operators(SpinJ(8))
+    top = np.zeros((9, 9), dtype=complex)
+    top[0, 0] = 1.0
+    with pytest.warns(PositivityWarning, match="minimum eigenvalue reached"):
+        evolve(AmplitudeDampingChannel(gamma=1.0, nbar=0.5, ops=ops), top, 2.0, 40)
+
+
+def test_evolve_generator_calls_do_not_grow_with_steps(monkeypatch):
+    calls = []
+    original = dynamics.apply_liouvillian
+
+    def counted(spec, rho):
+        calls.append(1)
+        return original(spec, rho)
+
+    monkeypatch.setattr(dynamics, "apply_liouvillian", counted)
+    chan = AmplitudeDampingChannel(gamma=1.0, nbar=0.5, ops=OPS)
+    rho0 = bloch_to_rho([0.5, 0.2, 0.3])
+    evolve(chan, rho0, 1.0, 2)
+    short = len(calls)
+    evolve(chan, rho0, 1.0, 200)
+    assert len(calls) - short == short

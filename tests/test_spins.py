@@ -24,6 +24,7 @@ from spinphase import (
     rho_to_bloch,
     von_neumann_entropy,
 )
+from spinphase.spins import PAULI_X, PAULI_Y, PAULI_Z
 
 LN2 = math.log(2.0)
 
@@ -85,6 +86,17 @@ def test_bloch_round_trip():
     np.testing.assert_allclose(rho_to_bloch(rho), tau, atol=1e-12)
     np.testing.assert_allclose(bloch_to_rho([0.0, 0.0, 0.0]), np.eye(2) / 2.0, atol=1e-15)
     np.testing.assert_allclose(bloch_to_rho([0.0, 0.0, 1.0]), np.diag([1.0, 0.0]), atol=1e-15)
+
+
+def test_rho_to_bloch_on_a_stack_equals_the_pauli_traces():
+    rng = np.random.default_rng(5)
+    stack = rng.normal(size=(2, 3, 2, 2)) + 1j * rng.normal(size=(2, 3, 2, 2))
+    traces = np.array(
+        [[[np.trace(s @ m).real for s in (PAULI_X, PAULI_Y, PAULI_Z)] for m in row] for row in stack]
+    )
+    assert np.array_equal(rho_to_bloch(stack), traces)
+    with pytest.raises(DimensionError):
+        rho_to_bloch(np.zeros((4, 3, 3)))
 
 
 def test_bloch_norm_guard():
