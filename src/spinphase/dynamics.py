@@ -4,7 +4,9 @@ Channels bundle a Hamiltonian with a dissipator.  The dephasing channel
 couples through jz with strength lambda; the amplitude-damping channel is
 the thermal ladder pair (J-, J+) with loss rate gamma (nbar + 1) and gain
 rate gamma nbar.  A general Davies channel carries explicit jump operators
-and rates, optionally tied together by an inverse temperature.
+and rates, optionally tied together by an inverse temperature.  Every
+channel holds its Hamiltonian and jump operators as read-only copies taken
+at construction, so a generator built from a channel once stays valid.
 """
 
 import math
@@ -21,7 +23,14 @@ from .errors import (
     StepCountError,
     ZeroRateError,
 )
-from .spins import SpinJ, SpinOperators, check_density_matrix, make_spin_operators, relative_entropy_of_coherence
+from .spins import (
+    SpinJ,
+    SpinOperators,
+    check_density_matrix,
+    make_spin_operators,
+    read_only,
+    relative_entropy_of_coherence,
+)
 
 POSITIVITY_FLOOR = -1e-8
 
@@ -31,6 +40,15 @@ class UnitaryChannel:
     """Closed evolution under a Hamiltonian."""
 
     hamiltonian: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "hamiltonian", read_only(self.hamiltonian))
+
+
+def check_dephasing_rate(lam: float) -> None:
+    """Raise ValueError unless the dephasing rate lam is finite and >= 0; every dephasing rate goes through this check."""
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"dephasing rate must be finite and >= 0, got {lam}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,8 +60,8 @@ class DephasingChannel:
     hamiltonian: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.lam < math.inf:
-            raise ValueError(f"dephasing rate must be finite and >= 0, got {self.lam}")
+        check_dephasing_rate(self.lam)
+        object.__setattr__(self, "hamiltonian", read_only(self.hamiltonian))
 
 
 def _bath_rates(gamma: float, nbar: float) -> tuple:
@@ -115,7 +133,8 @@ class DaviesPair:
     l_plus: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "l_plus", self.l_minus.conj().T)
+        object.__setattr__(self, "l_minus", read_only(self.l_minus))
+        object.__setattr__(self, "l_plus", read_only(self.l_minus.conj().T))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -146,7 +165,7 @@ class AmplitudeDampingChannel:
         )
         object.__setattr__(self, "bath", bath)
         object.__setattr__(self, "ops", ops)
-        object.__setattr__(self, "hamiltonian", hamiltonian)
+        object.__setattr__(self, "hamiltonian", read_only(hamiltonian))
         object.__setattr__(self, "pairs", (pair,))
 
     @classmethod
@@ -177,6 +196,7 @@ class DaviesChannel:
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(self.pairs))
+        object.__setattr__(self, "hamiltonian", read_only(self.hamiltonian))
         for pair in self.pairs:
             if pair.gamma_minus < 0.0 or pair.gamma_plus < 0.0:
                 raise ValueError("Davies rates must be >= 0")

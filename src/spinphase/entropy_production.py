@@ -6,13 +6,14 @@ differentiates S(rho || rho_eq).  The two routes bound each other but are
 genuinely different functionals, which is the point of keeping both.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import BathParams, apply_liouvillian, dephasing_dissipator
+from .dynamics import BathParams, apply_liouvillian, channel_dim, check_dephasing_rate, dephasing_dissipator
 from .errors import (
     BlochNormError,
     DimensionError,
@@ -22,12 +23,15 @@ from .errors import (
     TemperatureDivergence,
 )
 from .phase_space import FLOOR_NOTE, HusimiField, floor_mask, wehrl_rate_dissipative
-from .spins import SpinJ, check_density_matrix, make_spin_operators
+from .spins import SpinJ, density_eigh, make_spin_operators
+from .spins import check_density_matrix  # noqa: F401  (bench/tracer.py wraps this name)
 
 # below the cut the direct forms lose ~eps/x^2 to cancellation; the series
 # truncation error there is ~2 x^8 / 99, so both branches hold ~1e-12
 SERIES_CUT = 1e-2
 PURITY_CUT = 1e-12
+# distinct reference states whose logarithm is kept; a run uses one per channel
+REFERENCE_MEMO = 16
 
 
 @dataclass(frozen=True)
@@ -77,6 +81,7 @@ def ep_qubit_dephasing_closed(tau, lam: float) -> float:
     (lam/4)(tau_x^2 + tau_y^2) [tau - (1 - tau^2) atanh tau] / tau^3;
     finite for every valid Bloch vector, pure states included.
     """
+    check_dephasing_rate(lam)
     norm, perp2, _ = _bloch_parts(tau)
     return 0.25 * lam * perp2 * _bracket(norm)
 
@@ -87,6 +92,7 @@ def ep_vn_qubit_dephasing(tau, lam: float) -> float:
     (lam/2)(tau_x^2 + tau_y^2) atanh(tau)/tau; diverges logarithmically at
     purity, so PurityDivergence is raised at tau >= 1 - 1e-12.
     """
+    check_dephasing_rate(lam)
     norm, perp2, _ = _bloch_parts(tau)
     if norm >= 1.0 - PURITY_CUT:
         raise PurityDivergence(f"Bloch norm {norm:.15g} at the divergence")
@@ -149,6 +155,7 @@ def ep_rate_dephasing_quad(field: HusimiField, lam: float, j: SpinJ) -> EpReport
     The flux vanishes identically, so the full dissipative Wehrl rate equals
     the production rate.
     """
+    check_dephasing_rate(lam)
     if j != field.j:
         raise DimensionError("spin does not match field")
     pref = (j.two_j + 1) / (4.0 * np.pi)
@@ -188,30 +195,75 @@ def ep_rate_damping_quad(field: HusimiField, bath: BathParams, j: SpinJ) -> EpRe
     return EpReport(sigma_dot=sigma, phi_dot=sigma - ds_dt, ds_dt=ds_dt, route="quadrature", warnings=notes)
 
 
-def _log_full_rank(rho: np.ndarray, label: str) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(rho)
+def _log_full_rank(rho: np.ndarray, label: str) -> tuple:
+    """Validated state and its logarithm, both from one eigendecomposition; SupportError below 1e-12."""
+    rho, vals, vecs = density_eigh(rho)
     if float(vals.min()) < PURITY_CUT:
         raise SupportError(f"{label} is rank deficient (min eigenvalue {vals.min():.3e})")
-    return (vecs * np.log(vals)) @ vecs.conj().T
+    return rho, (vecs * np.log(vals)) @ vecs.conj().T
+
+
+@functools.lru_cache(maxsize=REFERENCE_MEMO)
+def _reference_log_of(data: bytes, shape: tuple) -> np.ndarray:
+    log_eq = _log_full_rank(np.frombuffer(data, dtype=complex).reshape(shape), "reference state")[1]
+    log_eq.flags.writeable = False
+    return log_eq
+
+
+def _reference_log(rho_eq) -> np.ndarray:
+    """ln rho_eq, validated and computed once per distinct reference state.
+
+    Keyed on the complex128 bytes and the shape of the array, so a new or
+    mutated reference gets its own entry; an invalid one raises on every
+    call, since exceptions are never cached.
+    """
+    ref = np.ascontiguousarray(rho_eq, dtype=complex)
+    return _reference_log_of(ref.tobytes(), ref.shape)
+
+
+def _generator_matrix(spec) -> np.ndarray:
+    """The channel's d^2 x d^2 generator on row-major vec(rho), built on first use and kept on the channel.
+
+    One apply_liouvillian call on the stack of basis matrices |a><b| gives
+    every column.  The matrix is built whole and then stored in one step,
+    so a pool thread sees all of it or none; the channel holds read-only
+    copies of its operators, so the matrix cannot go stale.
+    """
+    gen = spec.__dict__.get("_generator")
+    if gen is None:
+        d = channel_dim(spec)
+        basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+        gen = np.ascontiguousarray(apply_liouvillian(spec, basis).reshape(d * d, d * d).T)
+        gen.flags.writeable = False
+        object.__setattr__(spec, "_generator", gen)
+    return gen
 
 
 def ep_vn_general(rho: np.ndarray, spec, rho_eq: np.ndarray) -> EpReport:
     """Von Neumann production, flux, and entropy rates for a thermal channel.
 
     sigma_dot = -tr(L[rho](ln rho - ln rho_eq)), phi_dot = tr(L[rho] ln rho_eq),
-    ds_dt = -tr(L[rho] ln rho); the three are computed independently and
-    satisfy the balance identity to roundoff.  Both states must be full rank.
+    ds_dt = -tr(L[rho] ln rho); the three are computed independently, each
+    as one elementwise contraction, and satisfy the balance identity to
+    roundoff.  Both states must be full rank.
+
+    A state costs one eigendecomposition, which both validates it and gives
+    its logarithm.  The reference state's validation and logarithm are
+    memoized per distinct reference, and L is a d^2 x d^2 matrix built once
+    per channel and kept on it, so L[rho] is one matrix-vector product.
     """
-    rho = check_density_matrix(rho)
-    rho_eq = check_density_matrix(rho_eq)
-    if rho.shape != rho_eq.shape:
-        raise DimensionError(f"shape mismatch {rho.shape} vs {rho_eq.shape}")
-    log_rho = _log_full_rank(rho, "state")
-    log_eq = _log_full_rank(rho_eq, "reference state")
-    gen = apply_liouvillian(spec, rho)
-    sigma = -float(np.trace(gen @ (log_rho - log_eq)).real)
-    flux = float(np.trace(gen @ log_eq).real)
-    ds_dt = -float(np.trace(gen @ log_rho).real)
+    rho, log_rho = _log_full_rank(rho, "state")
+    log_eq = _reference_log(rho_eq)
+    if rho.shape != log_eq.shape:
+        raise DimensionError(f"shape mismatch {rho.shape} vs {log_eq.shape}")
+    gen_matrix = _generator_matrix(spec)
+    if gen_matrix.shape[0] != rho.size:
+        raise DimensionError(f"state shape {rho.shape} does not match channel dimension {channel_dim(spec)}")
+    gen = (gen_matrix @ rho.reshape(-1)).reshape(rho.shape)
+    # tr(G X) = vdot(X, G) for Hermitian X
+    sigma = -float(np.vdot(log_rho - log_eq, gen).real)
+    flux = float(np.vdot(log_eq, gen).real)
+    ds_dt = -float(np.vdot(log_rho, gen).real)
     return EpReport(sigma_dot=sigma, phi_dot=flux, ds_dt=ds_dt, route="von-neumann")
 
 
@@ -219,9 +271,13 @@ def vn_rate_dephasing(rho: np.ndarray, lam: float, ops) -> float:
     """Von Neumann entropy production rate -tr(D[rho] ln rho) under pure dephasing.
 
     The dephasing flux vanishes, so this equals dS/dt; requires a full-rank
-    state.  Reduces to ep_vn_qubit_dephasing for spin one-half.
+    state.  Reduces to ep_vn_qubit_dephasing for spin one-half.  One
+    eigendecomposition validates the state and gives its logarithm, and the
+    trace is one elementwise contraction.
     """
-    rho = check_density_matrix(rho)
-    log_rho = _log_full_rank(rho, "state")
+    check_dephasing_rate(lam)
+    rho, log_rho = _log_full_rank(rho, "state")
+    if rho.shape != ops.jz.shape:
+        raise DimensionError(f"state shape {rho.shape} does not match spin operators {ops.jz.shape}")
     gen = dephasing_dissipator(lam, ops, rho)
-    return -float(np.trace(gen @ log_rho).real)
+    return -float(np.vdot(log_rho, gen).real)

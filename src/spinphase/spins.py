@@ -55,9 +55,18 @@ class SpinJ:
         return self.j - np.arange(self.dim)
 
 
+def read_only(a):
+    """A read-only copy of an array (None passes through), for operators that objects share or cache on."""
+    if a is None:
+        return None
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class SpinOperators:
-    """Matrix representations of the spin algebra for a fixed J."""
+    """Matrix representations of the spin algebra for a fixed J, held as read-only copies."""
 
     j: SpinJ
     jx: np.ndarray
@@ -65,6 +74,10 @@ class SpinOperators:
     jz: np.ndarray
     jplus: np.ndarray
     jminus: np.ndarray
+
+    def __post_init__(self):
+        for name in ("jx", "jy", "jz", "jplus", "jminus"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
 
 
 @functools.lru_cache(maxsize=32)
@@ -85,18 +98,11 @@ def make_spin_operators(j: SpinJ) -> SpinOperators:
     jminus = jplus.conj().T
     jx = (jplus + jminus) / 2.0
     jy = (jplus - jminus) / 2.0j
-    for op in (jx, jy, jz, jplus, jminus):
-        op.flags.writeable = False
     return SpinOperators(j=j, jx=jx, jy=jy, jz=jz, jplus=jplus, jminus=jminus)
 
 
-def check_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Validate a density matrix and return it as a complex array.
-
-    Enforces finite entries, hermiticity and unit trace to 1e-12 and
-    eigenvalues above the -1e-10 floor; raises StateValidationError
-    otherwise.
-    """
+def _validated(rho, with_vectors: bool) -> tuple:
+    """The one body of state checks: (rho, eigenvalues, eigenvectors or None) from one decomposition."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionError(f"density matrix must be square, got shape {rho.shape}")
@@ -108,10 +114,33 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     tr = np.trace(rho)
     if abs(tr - 1.0) > TRACE_TOL:
         raise StateValidationError(f"trace must be 1, got {tr:.15g}")
-    lo = float(np.min(np.linalg.eigvalsh(rho)))
+    if with_vectors:
+        vals, vecs = np.linalg.eigh(rho)
+    else:
+        vals, vecs = np.linalg.eigvalsh(rho), None
+    lo = float(np.min(vals))
     if lo < EIG_FLOOR:
         raise StateValidationError(f"negative eigenvalue {lo:.3e} below floor {EIG_FLOOR}")
-    return rho
+    return rho, vals, vecs
+
+
+def check_density_matrix(rho: np.ndarray) -> np.ndarray:
+    """Validate a density matrix and return it as a complex array.
+
+    Enforces finite entries, hermiticity and unit trace to 1e-12 and
+    eigenvalues above the -1e-10 floor; raises StateValidationError
+    otherwise.
+    """
+    return _validated(rho, with_vectors=False)[0]
+
+
+def density_eigh(rho: np.ndarray) -> tuple:
+    """Validate a density matrix as check_density_matrix does and return (rho, eigenvalues, eigenvectors).
+
+    The eigendecomposition that checks the eigenvalue floor is the one
+    returned, so a caller that needs the spectrum pays for one.
+    """
+    return _validated(rho, with_vectors=True)
 
 
 def bloch_to_rho(tau) -> np.ndarray:

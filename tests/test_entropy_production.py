@@ -3,9 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import scipy.linalg
+
+from spinphase import entropy_production
 from spinphase import (
     AmplitudeDampingChannel,
     BathParams,
+    DaviesChannel,
+    DaviesPair,
+    DephasingChannel,
     BlochNormError,
     DimensionError,
     EpReport,
@@ -23,6 +29,7 @@ from spinphase import (
     ep_vn_general,
     ep_vn_qubit_damping,
     ep_vn_qubit_dephasing,
+    gibbs_state,
     husimi_field,
     make_spin_operators,
     vn_rate_dephasing,
@@ -314,3 +321,164 @@ def test_vn_rate_dephasing_spin_one():
         dtype=complex,
     )
     assert vn_rate_dephasing(rho, 1.0, ops3) > 0.0
+
+
+def _grid_field():
+    return husimi_field(bloch_to_rho([0.3, 0.0, 0.2]), SphereGrid(16, 16))
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize(
+    "rate",
+    [
+        lambda lam: vn_rate_dephasing(np.eye(2, dtype=complex) / 2.0, lam, OPS),
+        lambda lam: ep_rate_dephasing_quad(_grid_field(), lam, QUBIT),
+        lambda lam: ep_vn_qubit_dephasing([0.3, 0.0, 0.2], lam),
+        lambda lam: ep_qubit_dephasing_closed([0.3, 0.0, 0.2], lam),
+    ],
+    ids=["vn_rate_dephasing", "ep_rate_dephasing_quad", "ep_vn_qubit_dephasing", "ep_qubit_dephasing_closed"],
+)
+def test_dephasing_rates_reject_bad_rate(rate, lam):
+    # the same check and message as DephasingChannel, not a NaN, infinite or negative rate
+    with pytest.raises(ValueError, match="dephasing rate must be finite and >= 0"):
+        DephasingChannel(lam=lam, ops=OPS)
+    with pytest.raises(ValueError, match="dephasing rate must be finite and >= 0"):
+        rate(lam)
+
+
+def test_vn_rate_dephasing_rejects_operators_of_another_spin():
+    with pytest.raises(DimensionError):
+        vn_rate_dephasing(np.eye(2, dtype=complex) / 2.0, 1.0, make_spin_operators(SpinJ(2)))
+
+
+def _full_rank_state(d, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = a @ a.conj().T
+    rho = 0.8 * rho / np.trace(rho).real + 0.2 * np.eye(d) / d
+    return 0.5 * (rho + rho.conj().T)
+
+
+def test_vn_general_makes_one_eigendecomposition_per_state(monkeypatch):
+    j = SpinJ(8)
+    chan = BathParams.from_nbar(1.0, 0.37).channel(make_spin_operators(j))
+    rho_eq = damping_stationary_state(j, 0.37)
+    states = [_full_rank_state(j.dim, seed) for seed in range(10)]
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, _f=original, **kw: calls.append(1) or _f(a, *args, **kw))
+    generator_calls = []
+    original = entropy_production.apply_liouvillian
+    monkeypatch.setattr(
+        entropy_production, "apply_liouvillian", lambda *args: generator_calls.append(1) or original(*args)
+    )
+    for rho in states:
+        ep_vn_general(rho, chan, rho_eq)
+    # one per state plus at most one for the reference state (the parent made four per call)
+    assert len(calls) <= 11
+    # the generator matrix is built once, on the channel's first rate
+    assert len(generator_calls) == 1
+
+
+def test_channels_hold_read_only_operators():
+    # a generator cached on a channel cannot go stale through the caller's arrays
+    j = SpinJ(2)
+    ops = make_spin_operators(j)
+    ham = np.array(ops.jz)
+    chan = DaviesChannel.with_beta(
+        [DaviesPair(l_minus=np.array(ops.jminus), gamma_minus=0.8, gamma_plus=0.0, omega=1.0)], beta=0.5, hamiltonian=ham
+    )
+    rho = _full_rank_state(j.dim, 3)
+    rho_eq = gibbs_state(ops.jz, 0.5)
+    before = ep_vn_general(rho, chan, rho_eq)
+    ham[...] = 0.0
+    assert ep_vn_general(rho, chan, rho_eq) == before
+    for array in (chan.hamiltonian, chan.pairs[0].l_minus, chan.pairs[0].l_plus, ops.jz):
+        assert not array.flags.writeable
+
+
+def _lindblad(rho, ham, jumps):
+    """-i[H, rho] + sum of rate (L rho L^+ - {L^+ L, rho} / 2), written out independently of the library."""
+    out = np.zeros_like(rho)
+    if ham is not None:
+        out = out - 1j * (ham @ rho - rho @ ham)
+    for rate, l_op in jumps:
+        ldl = l_op.conj().T @ l_op
+        out = out + rate * (l_op @ rho @ l_op.conj().T - 0.5 * (ldl @ rho + rho @ ldl))
+    return out
+
+
+def _logm_rates(rho, ham, jumps, rho_eq):
+    """(sigma, phi, dS/dt) from scipy's matrix logarithm."""
+    gen = _lindblad(rho, ham, jumps)
+    log_rho = scipy.linalg.logm(rho)
+    log_eq = scipy.linalg.logm(rho_eq)
+    return (
+        -np.trace(gen @ (log_rho - log_eq)).real,
+        np.trace(gen @ log_eq).real,
+        -np.trace(gen @ log_rho).real,
+    )
+
+
+def _assert_rates(report, expected):
+    got = (report.sigma_dot, report.phi_dot, report.ds_dt)
+    scale = max(abs(v) for v in expected)
+    for value, ref in zip(got, expected):
+        assert abs(value - ref) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 4, 8])
+def test_vn_rates_match_logm_oracle(two_j):
+    j = SpinJ(two_j)
+    ops = make_spin_operators(j)
+    rho = _full_rank_state(j.dim, 100 + two_j)
+
+    lam = 0.7
+    expected = _logm_rates(rho, None, [(lam, ops.jz)], rho)[2]
+    assert abs(vn_rate_dephasing(rho, lam, ops) - expected) <= 1e-12 * abs(expected)
+
+    gamma, nbar = 1.3, 0.5
+    jumps = [(gamma * (nbar + 1.0), ops.jminus), (gamma * nbar, ops.jplus)]
+    rho_eq = damping_stationary_state(j, nbar)
+    report = ep_vn_general(rho, AmplitudeDampingChannel(gamma=gamma, nbar=nbar, ops=ops), rho_eq)
+    _assert_rates(report, _logm_rates(rho, None, jumps, rho_eq))
+
+    gamma_bar = 0.9
+    jumps = [(0.5 * gamma_bar, ops.jminus), (0.5 * gamma_bar, ops.jplus)]
+    rho_eq = damping_stationary_state(j, math.inf)
+    report = ep_vn_general(rho, AmplitudeDampingChannel.infinite_temperature(gamma_bar, ops), rho_eq)
+    _assert_rates(report, _logm_rates(rho, None, jumps, rho_eq))
+
+    omega, beta = 1.1, 0.6
+    ham = omega * ops.jz
+    pair = DaviesPair(l_minus=ops.jminus, gamma_minus=0.8, gamma_plus=0.0, omega=omega)
+    chan = DaviesChannel.with_beta([pair], beta=beta, hamiltonian=ham)
+    jumps = [(0.8, ops.jminus), (0.8 * math.exp(-beta * omega), ops.jplus)]
+    rho_eq = gibbs_state(ham, beta)
+    _assert_rates(ep_vn_general(rho, chan, rho_eq), _logm_rates(rho, ham, jumps, rho_eq))
+
+
+def test_vn_general_reference_memo_follows_the_reference():
+    j = SpinJ(4)
+    ops = make_spin_operators(j)
+    gamma, nbar = 1.0, 0.5
+    chan = AmplitudeDampingChannel(gamma=gamma, nbar=nbar, ops=ops)
+    jumps = [(gamma * (nbar + 1.0), ops.jminus), (gamma * nbar, ops.jplus)]
+    rho = _full_rank_state(j.dim, 7)
+    first = damping_stationary_state(j, nbar)
+    second = _full_rank_state(j.dim, 8)
+    _assert_rates(ep_vn_general(rho, chan, first), _logm_rates(rho, None, jumps, first))
+    # another reference of the same shape gets its own logarithm
+    _assert_rates(ep_vn_general(rho, chan, second), _logm_rates(rho, None, jumps, second))
+    # a writable reference changed in place is a new reference
+    mutable = first.copy()
+    ep_vn_general(rho, chan, mutable)
+    mutable[...] = second
+    _assert_rates(ep_vn_general(rho, chan, mutable), _logm_rates(rho, None, jumps, second))
+    # an invalid reference raises on every call, after a valid one was cached
+    singular = np.diag([1.0, 0.0, 0.0, 0.0, 0.0]).astype(complex)
+    for _ in range(2):
+        with pytest.raises(SupportError):
+            ep_vn_general(rho, chan, singular)
+    _assert_rates(ep_vn_general(rho, chan, first), _logm_rates(rho, None, jumps, first))
