@@ -37,7 +37,7 @@ from .entropy_production import (
     ep_vn_qubit_dephasing,
     vn_rate_dephasing,
 )
-from .errors import PurityDivergence, QFloorWarning, SupportError, TemperatureDivergence
+from .errors import BandLimitError, PurityDivergence, QFloorWarning, SupportError, TemperatureDivergence
 from .phase_space import SphereGrid, husimi_field, wehrl_entropy
 from .spins import (
     PAULI_X,
@@ -75,11 +75,8 @@ def _parse_j(text: str) -> SpinJ:
 
 
 def _parse_grid(text: str) -> tuple:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise CliError(f"--grid: expected NTHETAxNPHI like 64x64, got {text!r}")
     try:
-        n_theta, n_phi = int(parts[0]), int(parts[1])
+        n_theta, n_phi = (int(part) for part in text.lower().split("x"))
     except ValueError:
         raise CliError(f"--grid: expected NTHETAxNPHI like 64x64, got {text!r}") from None
     if n_theta < 2 or n_phi < 2:
@@ -317,8 +314,6 @@ def cmd_evolve(args) -> int:
     grid = SphereGrid(*_parse_grid(args.grid))
     rates = _build_channel(args, j)
     rho0 = _initial_state(args, j)
-    if rho0.shape[0] != j.dim:
-        raise CliError(f"initial state dimension {rho0.shape[0]} does not match --j")
     if args.tmax <= 0:
         raise CliError("--tmax: must be > 0")
     traj = evolve(rates.channel, rho0, args.tmax, args.steps)
@@ -614,6 +609,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
+    except BandLimitError as exc:
+        print(f"error: --grid: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,9 +6,10 @@ the thermal ladder pair (J-, J+) with loss rate gamma (nbar + 1) and gain
 rate gamma nbar.  A general Davies channel carries explicit jump operators
 and rates, optionally tied together by an inverse temperature.  Every
 channel holds its Hamiltonian and jump operators as read-only copies taken
-at construction, so a generator built from a channel once stays valid.
+at construction, so its generator matrix, built on first read, stays valid.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -23,6 +24,7 @@ from .errors import (
     StepCountError,
     ZeroRateError,
 )
+from .phase_space import damping_dissipator_field, dephasing_dissipator_field
 from .spins import (
     SpinJ,
     SpinOperators,
@@ -35,14 +37,39 @@ from .spins import (
 POSITIVITY_FLOOR = -1e-8
 
 
+class Channel:
+    """Base of every channel, which gives its dim, hamiltonian (or None) and dissipator(rho) on (..., d, d) stacks."""
+
+    @functools.cached_property
+    def generator(self) -> np.ndarray:
+        """Read-only d^2 x d^2 generator on row-major vec(rho), built on first read from one apply_liouvillian call.
+
+        The call acts on the stack of basis matrices |a><b|, one column each.
+        """
+        d = self.dim
+        basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+        gen = np.ascontiguousarray(apply_liouvillian(self, basis).reshape(d * d, d * d).T)
+        gen.flags.writeable = False
+        return gen
+
+    def phase_space_dissipator(self, field) -> np.ndarray:
+        """D(Q) on the field's grid; only dephasing and damping have one."""
+        raise TypeError(f"no phase-space dissipator for {type(self).__name__}")
+
+
 @dataclass(frozen=True, eq=False)
-class UnitaryChannel:
+class UnitaryChannel(Channel):
     """Closed evolution under a Hamiltonian."""
 
     hamiltonian: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "hamiltonian", read_only(self.hamiltonian))
+
+    dim = property(lambda self: self.hamiltonian.shape[0])
+
+    def dissipator(self, rho: np.ndarray) -> np.ndarray:
+        return np.zeros_like(rho)
 
 
 def check_dephasing_rate(lam: float) -> None:
@@ -52,16 +79,27 @@ def check_dephasing_rate(lam: float) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class DephasingChannel:
-    """Pure dephasing through jz at a finite rate lam >= 0."""
+class DephasingChannel(Channel):
+    """Pure dephasing through jz at a finite rate lam >= 0; D[rho] is rho times the read-only weights."""
 
     lam: float
     ops: SpinOperators
     hamiltonian: np.ndarray | None = None
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         check_dephasing_rate(self.lam)
         object.__setattr__(self, "hamiltonian", read_only(self.hamiltonian))
+        # the dissipator scales each entry, so its value at rho = 1 is the weight table
+        object.__setattr__(self, "weights", read_only(dephasing_dissipator(self.lam, self.ops, 1.0)))
+
+    dim = property(lambda self: self.ops.j.dim)
+
+    def dissipator(self, rho: np.ndarray) -> np.ndarray:
+        return self.weights * rho
+
+    def phase_space_dissipator(self, field) -> np.ndarray:
+        return dephasing_dissipator_field(field, self.lam, self.ops.j)
 
 
 def _bath_rates(gamma: float, nbar: float) -> tuple:
@@ -137,8 +175,28 @@ class DaviesPair:
         object.__setattr__(self, "l_plus", read_only(self.l_minus.conj().T))
 
 
+def _lindblad_term(l_op: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    ldl = l_op.conj().T @ l_op
+    return l_op @ rho @ l_op.conj().T - 0.5 * (ldl @ rho + rho @ ldl)
+
+
+def davies_dissipator(spec, rho: np.ndarray) -> np.ndarray:
+    """Sum over the jump pairs of spec (a Davies or damping channel) of both Lindblad terms.
+
+    This loop is the damping dissipator too: a damping channel is the one
+    pair (J-, gamma (nbar + 1), gamma nbar), built when the channel is.
+    """
+    out = np.zeros_like(rho)
+    for pair in spec.pairs:
+        if pair.gamma_minus != 0.0:
+            out = out + pair.gamma_minus * _lindblad_term(pair.l_minus, rho)
+        if pair.gamma_plus != 0.0:
+            out = out + pair.gamma_plus * _lindblad_term(pair.l_plus, rho)
+    return out
+
+
 @dataclass(frozen=True, eq=False, init=False)
-class AmplitudeDampingChannel:
+class AmplitudeDampingChannel(Channel):
     """Thermal ladder damping: the single jump pair (J-, gamma (nbar + 1), gamma nbar).
 
     The channel carries one BathParams and reads gamma, nbar, gamma_bar and
@@ -184,10 +242,15 @@ class AmplitudeDampingChannel:
     nbar = property(lambda self: self.bath.nbar)
     gamma_bar = property(lambda self: self.bath.gamma_bar)
     tau_bar_z = property(lambda self: self.bath.tau_bar_z, doc="Stationary qubit polarization -1 / (2 nbar + 1).")
+    dim = property(lambda self: self.ops.j.dim)
+    dissipator = davies_dissipator
+
+    def phase_space_dissipator(self, field) -> np.ndarray:
+        return damping_dissipator_field(field, self.gamma_bar, self.tau_bar_z, self.ops.j)
 
 
 @dataclass(frozen=True, eq=False)
-class DaviesChannel:
+class DaviesChannel(Channel):
     """Collection of thermal jump pairs, optionally checked against a declared beta."""
 
     pairs: tuple
@@ -226,46 +289,15 @@ class DaviesChannel:
         )
         return cls(pairs=fixed, hamiltonian=hamiltonian, beta=beta)
 
-
-ChannelSpec = UnitaryChannel | DephasingChannel | AmplitudeDampingChannel | DaviesChannel
-
-
-def channel_dim(spec: ChannelSpec) -> int:
-    if isinstance(spec, UnitaryChannel):
-        return spec.hamiltonian.shape[0]
-    if isinstance(spec, (DephasingChannel, AmplitudeDampingChannel)):
-        return spec.ops.j.dim
-    if isinstance(spec, DaviesChannel):
-        if spec.hamiltonian is not None:
-            return spec.hamiltonian.shape[0]
-        return spec.pairs[0].l_minus.shape[0]
-    raise TypeError(f"not a channel spec: {type(spec).__name__}")
-
-
-def _lindblad_term(l_op: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    ldl = l_op.conj().T @ l_op
-    return l_op @ rho @ l_op.conj().T - 0.5 * (ldl @ rho + rho @ ldl)
+    dim = property(lambda self: (self.pairs[0].l_minus if self.hamiltonian is None else self.hamiltonian).shape[0])
+    dissipator = davies_dissipator
 
 
 def dephasing_dissipator(lam: float, ops: SpinOperators, rho: np.ndarray) -> np.ndarray:
-    """-(lam/2) [jz, [jz, rho]]; entry (m, m') is scaled by -(lam/2)(m - m')^2."""
-    inner = ops.jz @ rho - rho @ ops.jz
-    return -0.5 * lam * (ops.jz @ inner - inner @ ops.jz)
-
-
-def davies_dissipator(spec, rho: np.ndarray) -> np.ndarray:
-    """Sum over the jump pairs of spec (a Davies or damping channel) of both Lindblad terms.
-
-    This loop is the damping dissipator too: a damping channel is the one
-    pair (J-, gamma (nbar + 1), gamma nbar), built when the channel is.
-    """
-    out = np.zeros_like(rho)
-    for pair in spec.pairs:
-        if pair.gamma_minus != 0.0:
-            out = out + pair.gamma_minus * _lindblad_term(pair.l_minus, rho)
-        if pair.gamma_plus != 0.0:
-            out = out + pair.gamma_plus * _lindblad_term(pair.l_plus, rho)
-    return out
+    """-(lam/2) [jz, [jz, rho]]; jz is diagonal, so entry (m, m') is scaled by -(lam/2)(m - m')^2."""
+    m = ops.jz.diagonal().real
+    gap = m[:, None] - m
+    return -0.5 * lam * (gap * gap) * rho
 
 
 def amplitude_damping_dissipator(gamma: float, nbar: float, ops: SpinOperators, rho: np.ndarray) -> np.ndarray:
@@ -273,27 +305,20 @@ def amplitude_damping_dissipator(gamma: float, nbar: float, ops: SpinOperators, 
     return davies_dissipator(AmplitudeDampingChannel(gamma=gamma, nbar=nbar, ops=ops), rho)
 
 
-def dissipator(spec: ChannelSpec, rho: np.ndarray) -> np.ndarray:
+def dissipator(spec: Channel, rho: np.ndarray) -> np.ndarray:
     """Dissipative part of the generator for the given channel."""
-    if isinstance(spec, UnitaryChannel):
-        return np.zeros_like(rho)
-    if isinstance(spec, DephasingChannel):
-        return dephasing_dissipator(spec.lam, spec.ops, rho)
-    if isinstance(spec, (AmplitudeDampingChannel, DaviesChannel)):
-        return davies_dissipator(spec, rho)
-    raise TypeError(f"not a channel spec: {type(spec).__name__}")
+    return spec.dissipator(rho)
 
 
-def apply_liouvillian(spec: ChannelSpec, rho: np.ndarray) -> np.ndarray:
+def apply_liouvillian(spec: Channel, rho: np.ndarray) -> np.ndarray:
     """Full generator L[rho] = -i [H, rho] + D[rho], of one state or of each state in a (..., d, d) stack."""
     rho = np.asarray(rho, dtype=complex)
-    d = channel_dim(spec)
+    d = spec.dim
     if rho.shape[-2:] != (d, d):
         raise DimensionError(f"state shape {rho.shape} does not match channel dimension {d}")
-    ham = getattr(spec, "hamiltonian", None)
-    out = dissipator(spec, rho)
+    ham = spec.hamiltonian
+    out = spec.dissipator(rho)
     if ham is not None:
-        ham = np.asarray(ham, dtype=complex)
         if ham.shape != (d, d):
             raise DimensionError(f"Hamiltonian shape {ham.shape} does not match channel dimension {d}")
         out = out - 1j * (ham @ rho - rho @ ham)
@@ -308,7 +333,7 @@ class Trajectory:
     states: np.ndarray
 
 
-def evolve(spec: ChannelSpec, rho0: np.ndarray, t_max: float, n_steps: int) -> Trajectory:
+def evolve(spec: Channel, rho0: np.ndarray, t_max: float, n_steps: int) -> Trajectory:
     """Propagate rho0 with classical fixed-step fourth-order Runge-Kutta.
 
     The generator is constant, so one RK4 step is a fixed linear map.  It is
@@ -412,8 +437,7 @@ def pauli_rates_from_davies(spec: DaviesChannel | AmplitudeDampingChannel) -> Pa
         off = np.abs(np.asarray(ham) - np.diag(np.diag(np.asarray(ham)))).max()
         if off > 1e-12:
             raise BasisError(f"Hamiltonian has off-diagonal weight {off:.3e}")
-    d = spec.pairs[0].l_minus.shape[0]
-    w = np.zeros((d, d))
+    w = np.zeros((spec.dim, spec.dim))
     for pair in spec.pairs:
         down = np.abs(pair.l_minus) ** 2
         up = np.abs(pair.l_plus) ** 2

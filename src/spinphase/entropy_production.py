@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import BathParams, apply_liouvillian, channel_dim, check_dephasing_rate, dephasing_dissipator
+from .dynamics import BathParams, check_dephasing_rate, dephasing_dissipator
+from .dynamics import apply_liouvillian  # noqa: F401  (bench/tracer.py wraps this name)
 from .errors import (
     BlochNormError,
     DimensionError,
@@ -168,27 +169,29 @@ def ep_rate_dephasing_quad(field: HusimiField, lam: float, j: SpinJ) -> EpReport
 def ep_rate_damping_quad(field: HusimiField, bath: BathParams, j: SpinJ) -> EpReport:
     """Quadrature entropy production and flux rates for thermal damping.
 
-    The production rate integrates the squared thermal drift current plus a
-    weighted azimuthal current term; the flux rate is defined through the
-    balance with the dissipative Wehrl rate.
+    One formula in (gamma_bar, tau_bar_z) at every temperature, with the
+    drift current D = tau_bar_z 2J Q sin + (1 + tau_bar_z cos) d_theta Q:
+
+        sigma = (gamma_bar/2)(2J+1)/(4 pi) integral of
+                [D^2 / (1 + tau_bar_z cos) + |d_phi Q|^2 (cos + tau_bar_z) cos / sin^2] / Q.
+
+    The flux rate is defined through the balance with the dissipative Wehrl
+    rate.  The field's grid is at or above the band limit n_theta >= 2J + 1,
+    n_phi >= 4J + 1 (BandLimitError when the first field is built).
     """
     if j != field.j:
         raise DimensionError("spin does not match field")
     grid = field.grid
     pref = (j.two_j + 1) / (4.0 * np.pi)
+    tb = bath.tau_bar_z
     cos_t = grid.cos_theta[:, None]
     sin_t = grid.sin_theta[:, None]
-    az2 = np.abs(field.dq_dphi) ** 2
-    if math.isinf(bath.nbar):
-        numerator = field.dq_dtheta**2 + az2 * (cos_t / sin_t) ** 2
-        value, notes = _masked_log_quadrature(field, numerator, "damping rate")
-        sigma = 0.5 * bath.gamma_bar * pref * value
-    else:
-        big_m = 2.0 * bath.nbar + 1.0
-        drift = j.two_j * field.q * sin_t + (cos_t - big_m) * field.dq_dtheta
-        numerator = drift**2 / (big_m - cos_t) + az2 * (big_m * cos_t - 1.0) * cos_t / sin_t**2
-        value, notes = _masked_log_quadrature(field, numerator, "damping rate")
-        sigma = 0.5 * bath.gamma * pref * value
+    relax = 1.0 + tb * cos_t
+    # theta-only factors are formed on the (n_theta, 1) column before they meet the grid
+    drift = (tb * j.two_j * sin_t) * field.q + relax * field.dq_dtheta
+    numerator = drift**2 / relax + np.abs(field.dq_dphi) ** 2 * ((cos_t + tb) * cos_t / sin_t**2)
+    value, notes = _masked_log_quadrature(field, numerator, "damping rate")
+    sigma = 0.5 * bath.gamma_bar * pref * value
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", QFloorWarning)
         ds_dt = wehrl_rate_dissipative(field, bath.channel(make_spin_operators(j)))
@@ -221,24 +224,6 @@ def _reference_log(rho_eq) -> np.ndarray:
     return _reference_log_of(ref.tobytes(), ref.shape)
 
 
-def _generator_matrix(spec) -> np.ndarray:
-    """The channel's d^2 x d^2 generator on row-major vec(rho), built on first use and kept on the channel.
-
-    One apply_liouvillian call on the stack of basis matrices |a><b| gives
-    every column.  The matrix is built whole and then stored in one step,
-    so a pool thread sees all of it or none; the channel holds read-only
-    copies of its operators, so the matrix cannot go stale.
-    """
-    gen = spec.__dict__.get("_generator")
-    if gen is None:
-        d = channel_dim(spec)
-        basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-        gen = np.ascontiguousarray(apply_liouvillian(spec, basis).reshape(d * d, d * d).T)
-        gen.flags.writeable = False
-        object.__setattr__(spec, "_generator", gen)
-    return gen
-
-
 def ep_vn_general(rho: np.ndarray, spec, rho_eq: np.ndarray) -> EpReport:
     """Von Neumann production, flux, and entropy rates for a thermal channel.
 
@@ -249,16 +234,16 @@ def ep_vn_general(rho: np.ndarray, spec, rho_eq: np.ndarray) -> EpReport:
 
     A state costs one eigendecomposition, which both validates it and gives
     its logarithm.  The reference state's validation and logarithm are
-    memoized per distinct reference, and L is a d^2 x d^2 matrix built once
-    per channel and kept on it, so L[rho] is one matrix-vector product.
+    memoized per distinct reference, and L is the channel's generator
+    matrix, built on its first read, so L[rho] is one matrix-vector product.
     """
     rho, log_rho = _log_full_rank(rho, "state")
     log_eq = _reference_log(rho_eq)
     if rho.shape != log_eq.shape:
         raise DimensionError(f"shape mismatch {rho.shape} vs {log_eq.shape}")
-    gen_matrix = _generator_matrix(spec)
+    gen_matrix = spec.generator
     if gen_matrix.shape[0] != rho.size:
-        raise DimensionError(f"state shape {rho.shape} does not match channel dimension {channel_dim(spec)}")
+        raise DimensionError(f"state shape {rho.shape} does not match channel dimension {spec.dim}")
     gen = (gen_matrix @ rho.reshape(-1)).reshape(rho.shape)
     # tr(G X) = vdot(X, G) for Hermitian X
     sigma = -float(np.vdot(log_rho - log_eq, gen).real)

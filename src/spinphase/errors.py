@@ -49,6 +49,10 @@ class TemperatureDivergence(ValueError):
     """Von Neumann rate diverges in the zero-temperature bath limit."""
 
 
+class BandLimitError(ValueError):
+    """Sphere grid too coarse for the spin: Q^2 integrates exactly only for n_theta >= 2J + 1, n_phi >= 4J + 1."""
+
+
 class PositivityWarning(UserWarning):
     """Integrator produced an eigenvalue below the positivity floor."""
 

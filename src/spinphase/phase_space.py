@@ -40,8 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import AmplitudeDampingChannel, DephasingChannel
-from .errors import DimensionError, QFloorWarning, RangeError
+from .errors import BandLimitError, DimensionError, QFloorWarning, RangeError
 from .spins import SpinJ, check_density_matrix
 
 Q_FLOOR = 1e-14
@@ -59,7 +58,8 @@ class SphereGrid:
     """Product quadrature grid: Gauss-Legendre in cos(theta) times uniform phi.
 
     The grid also caches the spectral-engine tables of each spin it has
-    sampled a field of; they are built on the first field, not here.
+    sampled a field of; they are built on the first field, not here, and
+    only at or above the band limit n_theta >= 2J + 1, n_phi >= 4J + 1.
     """
 
     def __init__(self, n_theta: int = 64, n_phi: int = 64):
@@ -93,9 +93,7 @@ class SphereGrid:
         values = np.asarray(values)
         if values.shape != (self.n_theta, self.n_phi):
             raise DimensionError(f"values shape {values.shape} does not match grid {self.n_theta} x {self.n_phi}")
-        return complex(np.sum(values * self.weights_2d)).real if np.iscomplexobj(values) else float(
-            np.sum(values * self.weights_2d)
-        )
+        return float(np.sum(values * self.weights_2d).real)
 
 
 def integrate(grid: SphereGrid, values: np.ndarray) -> float:
@@ -190,6 +188,11 @@ class _SpinTables:
 
 
 def _build_tables(j: SpinJ, grid: SphereGrid) -> _SpinTables:
+    if grid.n_theta < j.two_j + 1 or grid.n_phi < 2 * j.two_j + 1:
+        raise BandLimitError(
+            f"grid {grid.n_theta}x{grid.n_phi} is below the band limit of two_j = {j.two_j}: integrating Q^2 "
+            f"exactly needs n_theta >= {j.two_j + 1} and n_phi >= {2 * j.two_j + 1}"
+        )
     a0, a1, a2 = _amplitude_table(j, grid.theta_nodes, orders=3)
     pairs = np.stack((
         a0[:, None] * a0[None, :],
@@ -240,42 +243,24 @@ def _add(a: Spectrum, b: Spectrum) -> Spectrum:
     return Spectrum(a.g[:n] + b.g[:n], a.k0)
 
 
-def _mul_theta(spec: Spectrum, h: np.ndarray, dh: np.ndarray | None = None) -> Spectrum:
-    """Multiply by a theta-only function, keeping one derivative when dh is given."""
+def _mul_theta(spec: Spectrum, h: np.ndarray, dh: np.ndarray) -> Spectrum:
+    """Multiply by a theta-only function h with derivative dh, keeping one derivative order."""
     g = spec.g
-    if dh is not None and g.shape[0] >= 2:
-        return Spectrum(np.stack((g[0] * h, g[1] * h + g[0] * dh)), spec.k0)
-    return Spectrum((g[0] * h)[None], spec.k0)
+    return Spectrum(np.stack((g[0] * h, g[1] * h + g[0] * dh)), spec.k0)
 
 
-def _ladder_terms(spec: Spectrum, grid: SphereGrid, name: str) -> tuple:
-    """k cot(theta) and k / sin^2(theta) per component, after checking a derivative order is stored."""
-    if spec.g.shape[0] < 2:
-        raise ValueError(f"need at least one stored derivative to apply {name}")
-    ks = spec.ks[:, None]
-    return ks * grid.cot_theta, ks * grid.inv_sin2_theta
-
-
-def _op_jplus(spec: Spectrum, grid: SphereGrid) -> Spectrum:
-    """j+ action: e^{i phi} (d_theta + i cot d_phi); consumes one derivative order."""
+def _ladder(spec: Spectrum, grid: SphereGrid, s: int) -> Spectrum:
+    """j+ (s = 1) or j- (s = -1): s e^{i s phi} (d_theta + i s cot d_phi); consumes one derivative order."""
     g = spec.g
-    kcot, kinv2 = _ladder_terms(spec, grid, "j+")
+    if g.shape[0] < 2:
+        raise ValueError(f"need at least one stored derivative to apply {'j+' if s > 0 else 'j-'}")
+    ks = s * spec.ks[:, None]
+    kcot, kinv2 = ks * grid.cot_theta, ks * grid.inv_sin2_theta
     out = np.empty((g.shape[0] - 1,) + g.shape[1:], dtype=complex)
-    out[0] = g[1] - kcot * g[0]
+    out[0] = s * (g[1] - kcot * g[0])
     if g.shape[0] >= 3:
-        out[1] = g[2] + kinv2 * g[0] - kcot * g[1]
-    return Spectrum(out, spec.k0 + 1)
-
-
-def _op_jminus(spec: Spectrum, grid: SphereGrid) -> Spectrum:
-    """j- action: -e^{-i phi} (d_theta - i cot d_phi); consumes one derivative order."""
-    g = spec.g
-    kcot, kinv2 = _ladder_terms(spec, grid, "j-")
-    out = np.empty((g.shape[0] - 1,) + g.shape[1:], dtype=complex)
-    out[0] = -(g[1] + kcot * g[0])
-    if g.shape[0] >= 3:
-        out[1] = -(g[2] - kinv2 * g[0] + kcot * g[1])
-    return Spectrum(out, spec.k0 - 1)
+        out[1] = s * (g[2] + kinv2 * g[0] - kcot * g[1])
+    return Spectrum(out, spec.k0 + s)
 
 
 # ---------------------------------------------------------------------------
@@ -332,52 +317,53 @@ def phase_space_jz(field: HusimiField) -> np.ndarray:
 
 def phase_space_jplus(field: HusimiField) -> np.ndarray:
     """Differential j+ action e^{i phi}(d_theta + i cot d_phi) Q on the grid."""
-    return _evaluate(_op_jplus(field.spectral, field.grid), field.grid._spin_tables(field.j))
+    return _evaluate(_ladder(field.spectral, field.grid, 1), field.grid._spin_tables(field.j))
 
 
 def phase_space_jminus(field: HusimiField) -> np.ndarray:
     """Differential j- action -e^{-i phi}(d_theta - i cot d_phi) Q on the grid."""
-    return _evaluate(_op_jminus(field.spectral, field.grid), field.grid._spin_tables(field.j))
+    return _evaluate(_ladder(field.spectral, field.grid, -1), field.grid._spin_tables(field.j))
 
 
-def _damping_flux_components(field: HusimiField, big_m: float) -> Spectrum:
-    """Components of f(Q) = (1/2)(2J Q - jz Q) e^{i phi} sin + (1/2)(cos - M) j+ Q."""
-    two_j = field.j.two_j
+def _checked_tables(field: HusimiField, j: SpinJ) -> _SpinTables:
+    if j != field.j:
+        raise DimensionError("channel spin does not match field spin")
+    return field.grid._spin_tables(j)
+
+
+def dephasing_dissipator_field(field: HusimiField, lam: float, j: SpinJ) -> np.ndarray:
+    """D(Q) of dephasing at rate lam through jz of spin j (see dissipator_field)."""
+    tables = _checked_tables(field, j)
+    return _evaluate(_scale_by_k(field.spectral, lambda k: -0.5 * lam * k * k), tables).real
+
+
+def damping_dissipator_field(field: HusimiField, gamma_bar: float, tau_bar_z: float, j: SpinJ) -> np.ndarray:
+    """D(Q) of thermal ladder damping of spin j at any temperature (see dissipator_field)."""
+    tables = _checked_tables(field, j)
     grid = field.grid
-    drift = _scale_by_k(field.spectral, lambda k: 0.5 * (two_j - k))
+    drift = _scale_by_k(field.spectral, lambda k: -0.5 * tau_bar_z * (j.two_j - k))
     drift = _shift_phi(_mul_theta(drift, grid.sin_theta, grid.cos_theta), +1)
-    pumped = _mul_theta(_op_jplus(field.spectral, grid), 0.5 * (grid.cos_theta - big_m), -0.5 * grid.sin_theta)
-    return _add(drift, pumped)
+    pumped = _mul_theta(
+        _ladder(field.spectral, grid, 1), -0.5 * (1.0 + tau_bar_z * grid.cos_theta), 0.5 * tau_bar_z * grid.sin_theta
+    )
+    current = _add(drift, pumped)
+    vals = _evaluate(_ladder(current, grid, -1), tables) - _evaluate(_ladder(_conjugate(current), grid, 1), tables)
+    return (0.5 * gamma_bar * vals).real
 
 
 def dissipator_field(field: HusimiField, channel) -> np.ndarray:
     """Phase-space dissipator D(Q) of the channel, sampled on the field's grid.
 
-    Dephasing maps component k to -(lam/2) k^2 g_k.  Amplitude damping uses
-    the current field f(Q): D(Q) = (gamma/2)(j- f - j+ f*), or its
-    infinite-temperature limit -(gamma_bar/4)(j- j+ + j+ j-) Q.
+    Dephasing maps component k to -(lam/2) k^2 g_k.  Thermal damping is
+    D(Q) = (1/2)(j- F - j+ F*), one formula at every temperature:
+
+        F = gamma_bar [-tau_bar_z (2J Q - jz Q) e^{i phi} sin - (1 + tau_bar_z cos) j+ Q] / 2,
+
+    -(gamma_bar/4)(j- j+ + j+ j-) Q at tau_bar_z = 0.  Unitary and Davies
+    channels raise TypeError.  A field exists only on a grid at or above the
+    band limit n_theta >= 2J + 1, n_phi >= 4J + 1 (BandLimitError otherwise).
     """
-    grid = field.grid
-    if isinstance(channel, DephasingChannel):
-        if channel.ops.j != field.j:
-            raise DimensionError("channel spin does not match field spin")
-        tables = grid._spin_tables(field.j)
-        vals = _evaluate(_scale_by_k(field.spectral, lambda k: -0.5 * channel.lam * k * k), tables)
-        return vals.real
-    if isinstance(channel, AmplitudeDampingChannel):
-        if channel.ops.j != field.j:
-            raise DimensionError("channel spin does not match field spin")
-        tables = grid._spin_tables(field.j)
-        if math.isinf(channel.nbar):
-            jp = _op_jplus(field.spectral, grid)
-            jm = _op_jminus(field.spectral, grid)
-            vals = _evaluate(_op_jminus(jp, grid), tables) + _evaluate(_op_jplus(jm, grid), tables)
-            return (-0.25 * channel.gamma_bar * vals).real
-        big_m = 2.0 * channel.nbar + 1.0
-        flux = _damping_flux_components(field, big_m)
-        vals = _evaluate(_op_jminus(flux, grid), tables) - _evaluate(_op_jplus(_conjugate(flux), grid), tables)
-        return (0.5 * channel.gamma * vals).real
-    raise TypeError(f"no phase-space dissipator for {type(channel).__name__}")
+    return channel.phase_space_dissipator(field)
 
 
 def floor_mask(field: HusimiField, context: str | None = None) -> tuple:

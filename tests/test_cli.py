@@ -350,3 +350,20 @@ def test_evolve_builds_spin_operators_at_most_once(tmp_path, monkeypatch):
     _, _, rows, _ = load_csv(out)
     assert len(rows) == 21
     assert len(built) <= 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--channel", "damping", "--j", "4", "--gamma", "1", "--nbar", "0.5", "--seed", "3",
+         "--coherence", "0.4", "--grid", "4x4", "--tmax", "0.4", "--steps", "20"],
+        ["sweep-coherence", "--channel", "dephasing", "--j", "4", "--lambda", "1", "--seed", "7",
+         "--coherence", "0.8", "--grid", "9x16", "--points", "3"],
+    ],
+)
+def test_grid_below_the_band_limit_is_a_named_error(tmp_path, capsys, argv):
+    out = tmp_path / "o.csv"
+    assert run(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "--grid" in err and "band limit" in err and "n_phi >= 17" in err
+    assert not out.exists()

@@ -423,3 +423,42 @@ def test_evolve_generator_calls_do_not_grow_with_steps(monkeypatch):
     short = len(calls)
     evolve(chan, rho0, 1.0, 200)
     assert len(calls) - short == short
+
+
+def test_channel_generator_is_built_once_read_only_and_equals_the_liouvillian(monkeypatch):
+    ops = make_spin_operators(SpinJ(4))
+    d = 5
+    pair = DaviesPair(l_minus=ops.jminus, gamma_minus=0.8, gamma_plus=0.3, omega=0.0)
+    channels = [
+        UnitaryChannel(hamiltonian=ops.jx),
+        DephasingChannel(lam=0.7, ops=ops, hamiltonian=0.4 * ops.jx),
+        AmplitudeDampingChannel(gamma=0.6, nbar=0.4, ops=ops, hamiltonian=0.3 * ops.jz),
+        AmplitudeDampingChannel.infinite_temperature(0.9, ops),
+        DaviesChannel(pairs=[pair], hamiltonian=ops.jz),
+    ]
+    original = dynamics.apply_liouvillian
+    calls = []
+    monkeypatch.setattr(dynamics, "apply_liouvillian", lambda *args: calls.append(1) or original(*args))
+    for chan in channels:
+        gen = chan.generator
+        assert chan.generator is gen
+        assert not gen.flags.writeable
+        with pytest.raises(AttributeError):
+            chan.generator = np.eye(d * d)
+        for col in range(d * d):
+            unit = np.zeros(d * d, dtype=complex)
+            unit[col] = 1.0
+            assert np.array_equal(gen[:, col], original(chan, unit.reshape(d, d)).reshape(-1))
+    assert len(calls) == len(channels)
+
+
+@pytest.mark.parametrize("two_j", range(1, 9))
+def test_dephasing_weights_match_the_double_commutator(two_j):
+    ops = make_spin_operators(SpinJ(two_j))
+    chan = DephasingChannel(lam=1.3, ops=ops)
+    assert not chan.weights.flags.writeable
+    rho = random_rho(np.random.default_rng(two_j), two_j + 1)
+    inner = ops.jz @ rho - rho @ ops.jz
+    commutator_form = -0.65 * (ops.jz @ inner - inner @ ops.jz)
+    for out in (chan.dissipator(rho), dephasing_dissipator(1.3, ops, rho), apply_liouvillian(chan, rho)):
+        assert np.abs(out - commutator_form).max() < 1e-13

@@ -5,7 +5,7 @@ import pytest
 
 import scipy.linalg
 
-from spinphase import entropy_production
+from spinphase import dynamics
 from spinphase import (
     AmplitudeDampingChannel,
     BathParams,
@@ -22,6 +22,7 @@ from spinphase import (
     TemperatureDivergence,
     bloch_to_rho,
     damping_stationary_state,
+    dissipator_field,
     ep_qubit_damping_closed,
     ep_qubit_dephasing_closed,
     ep_rate_damping_quad,
@@ -32,6 +33,7 @@ from spinphase import (
     gibbs_state,
     husimi_field,
     make_spin_operators,
+    random_state_with_coherence,
     vn_rate_dephasing,
 )
 from spinphase.entropy_production import _bracket
@@ -369,10 +371,8 @@ def test_vn_general_makes_one_eigendecomposition_per_state(monkeypatch):
         original = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda a, *args, _f=original, **kw: calls.append(1) or _f(a, *args, **kw))
     generator_calls = []
-    original = entropy_production.apply_liouvillian
-    monkeypatch.setattr(
-        entropy_production, "apply_liouvillian", lambda *args: generator_calls.append(1) or original(*args)
-    )
+    original = dynamics.apply_liouvillian
+    monkeypatch.setattr(dynamics, "apply_liouvillian", lambda *args: generator_calls.append(1) or original(*args))
     for rho in states:
         ep_vn_general(rho, chan, rho_eq)
     # one per state plus at most one for the reference state (the parent made four per call)
@@ -482,3 +482,23 @@ def test_vn_general_reference_memo_follows_the_reference():
         with pytest.raises(SupportError):
             ep_vn_general(rho, chan, singular)
     _assert_rates(ep_vn_general(rho, chan, first), _logm_rates(rho, None, jumps, first))
+
+
+@pytest.mark.parametrize("two_j", range(1, 9))
+def test_hot_damping_approaches_the_infinite_temperature_rates(two_j):
+    # one (gamma_bar, tau_bar_z) formula serves both ends: at gamma = gamma_bar / (2 nbar + 1)
+    # the finite-nbar sigma, dS/dt and D(Q) differ from tau_bar_z = 0 by O(1/nbar)
+    j = SpinJ(two_j)
+    ops = make_spin_operators(j)
+    field = husimi_field(random_state_with_coherence(j.dim, 0.3, 11), SphereGrid(32, 32))
+    gamma_bar = 1.3
+    limit = BathParams.from_tau_bar(gamma_bar, 0.0)
+    cold = ep_rate_damping_quad(field, limit, j)
+    d_limit = dissipator_field(field, limit.channel(ops))
+    for nbar in (1e3, 1e6):
+        hot_bath = BathParams.from_nbar(gamma_bar / (2.0 * nbar + 1.0), nbar)
+        hot = ep_rate_damping_quad(field, hot_bath, j)
+        d_hot = dissipator_field(field, hot_bath.channel(ops))
+        assert abs(hot.sigma_dot - cold.sigma_dot) < 20.0 / nbar * abs(cold.sigma_dot)
+        assert abs(hot.ds_dt - cold.ds_dt) < 20.0 / nbar * abs(cold.ds_dt)
+        assert np.abs(d_hot - d_limit).max() < 20.0 / nbar * np.abs(d_limit).max()

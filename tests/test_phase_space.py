@@ -6,6 +6,9 @@ from scipy.linalg import expm
 
 from spinphase import (
     AmplitudeDampingChannel,
+    BandLimitError,
+    DaviesChannel,
+    DaviesPair,
     DephasingChannel,
     DimensionError,
     QFloorWarning,
@@ -13,6 +16,7 @@ from spinphase import (
     SolidAngle,
     SphereGrid,
     SpinJ,
+    UnitaryChannel,
     bloch_to_rho,
     coherent_amplitudes,
     dephasing_dissipator,
@@ -498,3 +502,33 @@ def test_grid_builds_spin_tables_on_first_field(monkeypatch):
     assert calls == [8]
     husimi_field(random_rho(rng, 2), grid)
     assert calls == [8, 1]
+
+
+def test_channels_without_a_phase_space_dissipator_raise_type_error():
+    ops = make_spin_operators(QUBIT)
+    field = husimi_field(bloch_to_rho([0.3, 0.1, 0.2]), SphereGrid(16, 16))
+    pair = DaviesPair(l_minus=ops.jminus, gamma_minus=0.8, gamma_plus=0.2, omega=0.0)
+    for chan in (UnitaryChannel(hamiltonian=ops.jx), DaviesChannel(pairs=[pair])):
+        name = type(chan).__name__
+        with pytest.raises(TypeError, match=name):
+            dissipator_field(field, chan)
+        with pytest.raises(TypeError, match=name):
+            wehrl_rate_dissipative(field, chan)
+
+
+@pytest.mark.parametrize("two_j", [2, 4, 8])
+def test_grid_below_the_band_limit_is_rejected(two_j):
+    j = SpinJ(two_j)
+    rho = random_state_with_coherence(j.dim, 0.3, 11)
+    n_theta, n_phi = two_j + 1, 2 * two_j + 1
+    for coarse in (SphereGrid(n_theta - 1, n_phi), SphereGrid(n_theta, n_phi - 1)):
+        with pytest.raises(BandLimitError, match=f"n_theta >= {n_theta} and n_phi >= {n_phi}"):
+            husimi_field(rho, coarse)
+    # at the limit Q^2 integrates exactly
+    at_limit = SphereGrid(n_theta, n_phi)
+    exact = integrate(SphereGrid(64, 64), husimi_field(rho, SphereGrid(64, 64)).q ** 2)
+    assert abs(integrate(at_limit, husimi_field(rho, at_limit).q ** 2) - exact) < 1e-13
+    # a grid that rejects one spin still serves the spins it resolves
+    with pytest.raises(BandLimitError):
+        husimi_field(np.eye(2 * two_j + 1) / (2 * two_j + 1), at_limit)
+    assert np.array_equal(husimi_field(rho, at_limit).q, husimi_field(rho, SphereGrid(n_theta, n_phi)).q)
