@@ -11,7 +11,6 @@ import os
 import sys
 import warnings
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +34,7 @@ from .entropy_production import (
     ep_vn_general,
     ep_vn_qubit_damping,
     ep_vn_qubit_dephasing,
+    sigma_damping_quad,
     vn_rate_dephasing,
 )
 from .errors import BandLimitError, PurityDivergence, QFloorWarning, SupportError, TemperatureDivergence
@@ -79,9 +79,17 @@ def _parse_grid(text: str) -> tuple:
         n_theta, n_phi = (int(part) for part in text.lower().split("x"))
     except ValueError:
         raise CliError(f"--grid: expected NTHETAxNPHI like 64x64, got {text!r}") from None
-    if n_theta < 2 or n_phi < 2:
-        raise CliError("--grid: both sizes must be >= 2")
     return n_theta, n_phi
+
+
+def _grid_for(text: str, j: SpinJ) -> SphereGrid:
+    """The --grid sphere grid, checked against the spin's band limit before any work is done."""
+    try:
+        grid = SphereGrid(*_parse_grid(text))
+    except ValueError as exc:
+        raise CliError(f"--grid: {exc}") from None
+    grid.check_band_limit(j)
+    return grid
 
 
 def _parse_bloch(text: str) -> np.ndarray:
@@ -118,48 +126,35 @@ def read_state_file(path: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _worker_count(deterministic: bool) -> int:
-    if deterministic:
-        return 1
-    env = os.environ.get("SPINPHASE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise CliError(f"SPINPHASE_THREADS: expected an integer, got {env!r}") from None
-    return os.cpu_count() or 1
-
-
 def _run_tasks(tasks, deterministic: bool) -> list:
-    """Evaluate a list of thunks, preserving order; concurrent unless pinned to one worker."""
-    workers = _worker_count(deterministic)
-    if workers == 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
+    """Evaluate a list of thunks in order, on this thread.
+
+    Every run is single-threaded, so deterministic has no effect; the
+    two-argument call is what bench/tracer.py wraps to time the rows.
+    """
+    return [task() for task in tasks]
+
+
+def _row_format(row) -> str:
+    """The %-format of a table's rows, read from its first row: %d for ints, %s for text, FMT otherwise."""
+    kinds = ("%d" if isinstance(v, (int, np.integer)) else "%s" if isinstance(v, str) else FMT for v in row)
+    return ",".join(kinds) + "\n"
 
 
 def write_csv(path: str, metadata: dict, header: list, rows: list, notes: list) -> None:
-    """CSV with '#' metadata lines, one header row, %.17e numbers, trailing warnings."""
+    """CSV with '#' metadata lines, one header row, %.17e numbers, trailing warnings.
+
+    Every row has the cell kinds of the first; None and NaN cells read nan.
+    """
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key in sorted(metadata):
             fh.write(f"# {key} = {metadata[key]}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fields = []
-            for value in row:
-                if isinstance(value, str):
-                    fields.append(value)
-                elif isinstance(value, (int, np.integer)):
-                    fields.append(str(int(value)))
-                elif value is None or (isinstance(value, float) and math.isnan(value)):
-                    fields.append("nan")
-                else:
-                    fields.append(FMT % value)
-            fh.write(",".join(fields) + "\n")
+        if rows:
+            fmt = _row_format(rows[0])
+            fh.writelines(fmt % tuple(math.nan if v is None else v for v in row) for row in rows)
         for note in notes:
             fh.write(f"# warning: {note}\n")
 
@@ -167,16 +162,18 @@ def write_csv(path: str, metadata: dict, header: list, rows: list, notes: list) 
 class _Rates(NamedTuple):
     """A channel with its rates bound: the one place the CLI tells channel kinds apart.
 
-    quad(field) is the quadrature EpReport, closed(tau) the qubit closed
-    form, vn(rho, tau) the von Neumann rate (its qubit closed form when tau
-    is given), time the scaled-time column (name, scale) and meta the rate
-    metadata.  The bound functions look the library functions up as module
+    quad(field) is the quadrature EpReport and sigma(field) the quadrature
+    production rate alone (sigma_dot and warnings, without dS/dt),
+    closed(tau) the qubit closed form, vn(rho, tau) the von Neumann rate
+    (its qubit closed form when tau is given), time the scaled-time column
+    (name, scale) and meta the rate metadata.  The bound functions look the library functions up as module
     globals when they run, so whatever is bound to those names then (the
     benchmark's tracer, say) sees every call.
     """
 
     channel: object
     quad: Callable
+    sigma: Callable
     closed: Callable
     vn: Callable
     time: tuple
@@ -198,9 +195,13 @@ def _dephasing(lam: float, j: SpinJ) -> _Rates:
             return ep_vn_qubit_dephasing(tau, lam)
         return vn_rate_dephasing(rho, lam, channel.ops)
 
+    def quad(field):
+        return ep_rate_dephasing_quad(field, lam, j)
+
     return _Rates(
         channel=channel,
-        quad=lambda field: ep_rate_dephasing_quad(field, lam, j),
+        quad=quad,
+        sigma=quad,
         closed=lambda tau: ep_qubit_dephasing_closed(tau, lam),
         vn=vn,
         time=("lambda_t", lam) if lam > 0 else ("t", 1.0),
@@ -220,6 +221,7 @@ def _damping(bath: BathParams, j: SpinJ, meta: dict) -> _Rates:
     return _Rates(
         channel=channel,
         quad=lambda field: ep_rate_damping_quad(field, bath, j),
+        sigma=lambda field: sigma_damping_quad(field, bath, j),
         closed=lambda tau: ep_qubit_damping_closed(tau, bath),
         vn=vn,
         time=("gamma_bar_t", bath.gamma_bar) if bath.gamma_bar > 0 else ("t", 1.0),
@@ -244,7 +246,7 @@ def _build_channel(args, j: SpinJ) -> _Rates:
     return _damping(bath, j, {"gamma": repr(args.gamma), "nbar": repr(args.nbar)})
 
 
-def _rows_and_notes(tasks, deterministic: bool) -> tuple:
+def _rows_and_notes(tasks) -> tuple:
     """Run row thunks, each returning (row, floor notes), with QFloorWarning silenced.
 
     Returns the rows in order and the distinct notes in first-seen order,
@@ -252,7 +254,7 @@ def _rows_and_notes(tasks, deterministic: bool) -> tuple:
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", QFloorWarning)
-        results = _run_tasks(tasks, deterministic)
+        results = _run_tasks(tasks, True)
     return [row for row, _ in results], list(dict.fromkeys(note for _, notes in results for note in notes))
 
 
@@ -311,7 +313,7 @@ def _state_values(rho, j: SpinJ) -> list:
 
 def cmd_evolve(args) -> int:
     j = _parse_j(args.j)
-    grid = SphereGrid(*_parse_grid(args.grid))
+    grid = _grid_for(args.grid, j)
     rates = _build_channel(args, j)
     rho0 = _initial_state(args, j)
     if args.tmax <= 0:
@@ -332,7 +334,7 @@ def cmd_evolve(args) -> int:
         return row, report.warnings
 
     tasks = [lambda t=t, rho=rho: row_for(t, rho) for t, rho in zip(traj.times, traj.states)]
-    rows, notes = _rows_and_notes(tasks, args.deterministic)
+    rows, notes = _rows_and_notes(tasks)
 
     header = [t_name] + _state_columns(j) + ["s_vn", "s_q", "c_l1", "sigma_quad"]
     if is_qubit:
@@ -356,11 +358,11 @@ SWEEP_HEADER = ["coherence_fig", "coherence_l1", "sigma_wehrl", "sigma_vn"]
 
 
 def _sweep_row(rates: _Rates, grid: SphereGrid, rho, tau, coherence_fig: float) -> tuple:
-    report = rates.quad(husimi_field(rho, grid))
+    report = rates.sigma(husimi_field(rho, grid))
     return [coherence_fig, l1_coherence(rho), report.sigma_dot, rates.sigma_vn(rho, tau)], report.warnings
 
 
-def _sweep_rows_qubit(rates: _Rates, grid: SphereGrid, tau_z: float, n_points: int, deterministic: bool) -> tuple:
+def _sweep_rows_qubit(rates: _Rates, grid: SphereGrid, tau_z: float, n_points: int) -> tuple:
     """Transverse-coherence sweep at fixed tau_z, up to the pure-state boundary."""
     perp_max = math.sqrt(max(0.0, 1.0 - tau_z * tau_z))
 
@@ -368,21 +370,21 @@ def _sweep_rows_qubit(rates: _Rates, grid: SphereGrid, tau_z: float, n_points: i
         tau = np.array([perp, 0.0, tau_z])
         return _sweep_row(rates, grid, bloch_to_rho(tau), tau, 2.0 * perp * perp)
 
-    return _rows_and_notes([lambda p=p: row_for(p) for p in np.linspace(0.0, perp_max, n_points)], deterministic)
+    return _rows_and_notes([lambda p=p: row_for(p) for p in np.linspace(0.0, perp_max, n_points)])
 
 
-def _sweep_rows_random(rates: _Rates, j: SpinJ, grid: SphereGrid, c_max, n_points, seed, deterministic) -> tuple:
+def _sweep_rows_random(rates: _Rates, j: SpinJ, grid: SphereGrid, c_max, n_points, seed) -> tuple:
     """Random-state sweep over l1-coherence targets for dimensions above 2."""
 
     def row_for(target):
         return _sweep_row(rates, grid, random_state_with_coherence(j.dim, float(target), seed), None, math.nan)
 
-    return _rows_and_notes([lambda c=c: row_for(c) for c in np.linspace(0.0, c_max, n_points)], deterministic)
+    return _rows_and_notes([lambda c=c: row_for(c) for c in np.linspace(0.0, c_max, n_points)])
 
 
 def cmd_sweep_coherence(args) -> int:
     j = _parse_j(args.j)
-    grid = SphereGrid(*_parse_grid(args.grid))
+    grid = _grid_for(args.grid, j)
     rates = _build_channel(args, j)
     if args.points < 2:
         raise CliError("--points: need at least 2 sweep points")
@@ -392,11 +394,11 @@ def cmd_sweep_coherence(args) -> int:
             tau_z = float(_parse_bloch(args.bloch)[2])
             if abs(tau_z) > 1.0:
                 raise CliError("--bloch: |tau_z| must be <= 1")
-        rows, notes = _sweep_rows_qubit(rates, grid, tau_z, args.points, args.deterministic)
+        rows, notes = _sweep_rows_qubit(rates, grid, tau_z, args.points)
     else:
         if args.seed is None or args.coherence is None:
             raise CliError("dim > 2 sweeps need --seed and --coherence (the sweep's maximum)")
-        rows, notes = _sweep_rows_random(rates, j, grid, args.coherence, args.points, args.seed, args.deterministic)
+        rows, notes = _sweep_rows_random(rates, j, grid, args.coherence, args.points, args.seed)
 
     meta = _common_metadata(args, j, grid, rates)
     meta.update({"command": "sweep-coherence", "points": args.points})
@@ -452,7 +454,7 @@ def _fig2(out_dir: str) -> None:
         ("dephasing", _dephasing(1.0, j)),
         ("damping", _damping(BathParams.from_tau_bar(1.0, 0.0), j, {"gamma_bar": repr(1.0)})),
     ):
-        rows, notes = _sweep_rows_qubit(rates, grid, 0.0, 51, False)
+        rows, notes = _sweep_rows_qubit(rates, grid, 0.0, 51)
         meta = {
             "command": "fig",
             "figure": 2,
@@ -469,13 +471,13 @@ def _fig2(out_dir: str) -> None:
 
 def _curve_row(rates: _Rates, grid: SphereGrid, t: float, states) -> tuple:
     """Row [t, sigma of each state] of a figure's rate curves, with its floor notes."""
-    reports = [rates.quad(husimi_field(rho, grid)) for rho in states]
+    reports = [rates.sigma(husimi_field(rho, grid)) for rho in states]
     return [t] + [r.sigma_dot for r in reports], [note for r in reports for note in r.warnings]
 
 
 def _write_curves(path: str, rates: _Rates, tasks, coherences, meta: dict) -> None:
     """Run a figure panel's curve rows and write them under the shared figure metadata."""
-    rows, notes = _rows_and_notes(tasks, False)
+    rows, notes = _rows_and_notes(tasks)
     header = [rates.time[0]] + [f"sigma_c_{c:g}" for c in coherences]
     meta = {
         "command": "fig",
@@ -580,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tau-bar-z", type=float, help="bath polarization in [-1, 0]; fixes gamma_bar = 1")
         p.add_argument("--grid", default="64x64", help="quadrature grid NTHETAxNPHI")
         p.add_argument("--out", required=True, help="output CSV path")
-        p.add_argument("--deterministic", action="store_true", help="single worker, fixed reduction order")
+        p.add_argument("--deterministic", action="store_true", help="no effect (every run is single-threaded)")
 
     ev = sub.add_parser("evolve", help="integrate a trajectory and tabulate entropy rates")
     add_run_flags(ev)

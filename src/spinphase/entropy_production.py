@@ -10,6 +10,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .errors import (
     SupportError,
     TemperatureDivergence,
 )
-from .phase_space import FLOOR_NOTE, HusimiField, floor_mask, wehrl_rate_dissipative
+from .phase_space import FLOOR_NOTE, HusimiField, floored_integral, wehrl_rate_dissipative
 from .spins import SpinJ, density_eigh, make_spin_operators
 from .spins import check_density_matrix  # noqa: F401  (bench/tracer.py wraps this name)
 
@@ -43,6 +44,13 @@ class EpReport:
     phi_dot: float
     ds_dt: float
     route: str
+    warnings: tuple = ()
+
+
+class QuadSigma(NamedTuple):
+    """Quadrature entropy production rate alone, with the floor notes of its integral."""
+
+    sigma_dot: float
     warnings: tuple = ()
 
 
@@ -143,11 +151,8 @@ def ep_vn_qubit_damping(tau, bath: BathParams) -> float:
 
 def _masked_log_quadrature(field: HusimiField, numerator: np.ndarray, context: str):
     """Integrate numerator / q with the Husimi floor applied; returns (value, warnings)."""
-    mask, excluded = floor_mask(field, context)
-    notes = (FLOOR_NOTE.format(context, excluded),) if excluded else ()
-    integrand = np.zeros_like(field.q)
-    integrand[mask] = numerator[mask] / field.q[mask]
-    return field.grid.integrate(integrand), notes
+    value, excluded = floored_integral(field, np.divide, numerator, context)
+    return value, (FLOOR_NOTE.format(context, excluded),) if excluded else ()
 
 
 def ep_rate_dephasing_quad(field: HusimiField, lam: float, j: SpinJ) -> EpReport:
@@ -160,23 +165,22 @@ def ep_rate_dephasing_quad(field: HusimiField, lam: float, j: SpinJ) -> EpReport
     if j != field.j:
         raise DimensionError("spin does not match field")
     pref = (j.two_j + 1) / (4.0 * np.pi)
-    numerator = np.abs(field.dq_dphi) ** 2
+    numerator = field.dq_dphi**2
     value, notes = _masked_log_quadrature(field, numerator, "dephasing rate")
     sigma = 0.5 * lam * pref * value
     return EpReport(sigma_dot=sigma, phi_dot=0.0, ds_dt=sigma, route="quadrature", warnings=notes)
 
 
-def ep_rate_damping_quad(field: HusimiField, bath: BathParams, j: SpinJ) -> EpReport:
-    """Quadrature entropy production and flux rates for thermal damping.
+def sigma_damping_quad(field: HusimiField, bath: BathParams, j: SpinJ) -> QuadSigma:
+    """Quadrature entropy production rate for thermal damping, without the flux.
 
     One formula in (gamma_bar, tau_bar_z) at every temperature, with the
     drift current D = tau_bar_z 2J Q sin + (1 + tau_bar_z cos) d_theta Q:
 
         sigma = (gamma_bar/2)(2J+1)/(4 pi) integral of
-                [D^2 / (1 + tau_bar_z cos) + |d_phi Q|^2 (cos + tau_bar_z) cos / sin^2] / Q.
+                [D^2 / (1 + tau_bar_z cos) + (d_phi Q)^2 (cos + tau_bar_z) cos / sin^2] / Q.
 
-    The flux rate is defined through the balance with the dissipative Wehrl
-    rate.  The field's grid is at or above the band limit n_theta >= 2J + 1,
+    The field's grid is at or above the band limit n_theta >= 2J + 1,
     n_phi >= 4J + 1 (BandLimitError when the first field is built).
     """
     if j != field.j:
@@ -189,9 +193,18 @@ def ep_rate_damping_quad(field: HusimiField, bath: BathParams, j: SpinJ) -> EpRe
     relax = 1.0 + tb * cos_t
     # theta-only factors are formed on the (n_theta, 1) column before they meet the grid
     drift = (tb * j.two_j * sin_t) * field.q + relax * field.dq_dtheta
-    numerator = drift**2 / relax + np.abs(field.dq_dphi) ** 2 * ((cos_t + tb) * cos_t / sin_t**2)
+    numerator = drift**2 / relax + field.dq_dphi**2 * ((cos_t + tb) * cos_t / sin_t**2)
     value, notes = _masked_log_quadrature(field, numerator, "damping rate")
-    sigma = 0.5 * bath.gamma_bar * pref * value
+    return QuadSigma(0.5 * bath.gamma_bar * pref * value, notes)
+
+
+def ep_rate_damping_quad(field: HusimiField, bath: BathParams, j: SpinJ) -> EpReport:
+    """Quadrature entropy production and flux rates for thermal damping.
+
+    sigma is sigma_damping_quad's; the flux rate is defined through the
+    balance with the dissipative Wehrl rate, phi = sigma - dS/dt.
+    """
+    sigma, notes = sigma_damping_quad(field, bath, j)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", QFloorWarning)
         ds_dt = wehrl_rate_dissipative(field, bath.channel(make_spin_operators(j)))

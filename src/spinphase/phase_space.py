@@ -20,19 +20,31 @@ The differential actions
 then reduce to exact recurrences applied to every k at once, which keeps
 the dissipator fields free of finite-difference noise.
 
+Q is real, so its spectrum is conjugate symmetric, g_{-k} = conj(g_k), and
+a field keeps only the k >= 0 half; the full range is mirrored from it the
+first time a ladder action or the damping dissipator reads it.  A real
+field is synthesized from a k >= 0 half as
+
+    F = Re sum_{k >= 0} c_k e^{ik phi} = sum_k (Re c_k cos(k phi) - Im c_k sin(k phi)),
+
+with c_k = 2 g_k for k > 0, which is one real matrix product of the
+interleaved [Re c_k, Im c_k] columns with a cos/sin table.
+
 Whatever depends only on J and the grid is built on first use and cached
-on the SphereGrid, keyed by 2J: the pair products a_r a_r' of the coherent
-amplitudes with their first and second theta-derivatives, and the phases
-e^{ik phi} for |k| <= 2J + 2.  A state's spectrum is then one broadcast
-product of rho with the pair table, summed along the diagonals k = r' - r,
-and sampling a spectrum on the grid is one (n_theta x K) @ (K x n_phi)
-matrix product against the phase table.
+on the SphereGrid, keyed by 2J: the pair products a_r a_r' (r <= r') of the
+coherent amplitudes with their first and second theta-derivatives, the
+cos/sin table and the complex phases e^{ik phi} for |k| <= 2J + 2.  A
+state's half spectrum is then one broadcast product of rho with the pair
+table, summed along the diagonals k = r' - r, and Q, dQ/dtheta and dQ/dphi
+come out of one real (3 n_theta x 2K) @ (2K x n_phi) product.  The complex
+phase table serves only the public ladder actions, whose fields are complex.
 
 Quadrature pairs Gauss-Legendre nodes in cos(theta) with a uniform phi
 grid, so there are no polar nodes and trigonometric polynomials up to the
 band limit integrate exactly.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -80,10 +92,17 @@ class SphereGrid:
         self.weights_2d = np.outer(self.theta_weights, np.full(self.n_phi, 2.0 * np.pi / self.n_phi))
         self._tables = {}
 
+    def check_band_limit(self, j: SpinJ) -> None:
+        """Raise BandLimitError unless n_theta >= 2J + 1 and n_phi >= 4J + 1, where Q^2 integrates exactly."""
+        if self.n_theta < j.two_j + 1 or self.n_phi < 2 * j.two_j + 1:
+            raise BandLimitError(
+                f"grid {self.n_theta}x{self.n_phi} is below the band limit of two_j = {j.two_j}: integrating Q^2 "
+                f"exactly needs n_theta >= {j.two_j + 1} and n_phi >= {2 * j.two_j + 1}"
+            )
+
     def _spin_tables(self, j: SpinJ) -> "_SpinTables":
         tables = self._tables.get(j.two_j)
         if tables is None:
-            # built whole, then stored in one step: a pool thread sees all of it or none
             tables = _build_tables(j, self)
             self._tables[j.two_j] = tables
         return tables
@@ -174,53 +193,84 @@ class Spectrum(NamedTuple):
 class _SpinTables:
     """What the spectral engine needs of one spin on one grid; read-only once built.
 
-    pairs[:, r, r'] holds a_r a_r', its first theta-derivative and its
-    second, so a state's components are rho[r, r'] times these summed along
-    k = r' - r.  phase[k + k_max] is e^{ik phi} on the phi nodes and dphase
-    its phi-derivative; k_max = 2J + 2 covers every spectrum the ladder
-    recurrences produce from a state.
+    pairs[:, p] holds a_r a_r', its first theta-derivative and its second
+    for the p-th pair (rows[p], cols[p]) of the upper triangle r <= r', in
+    row-major order, so row r starts at starts[r] and runs over k = r' - r =
+    0 ... 2J - r.  A state's k >= 0 components are rho[r, r'] times these
+    summed over the rows.  trig rows 2k and 2k + 1 hold cos(k phi) and -sin(k phi)
+    on the phi nodes, k = 0 ... k_max; phase[k + k_max] is e^{ik phi}.
+    k_max = 2J + 2 covers every spectrum the ladder recurrences produce
+    from a state.
     """
 
     pairs: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    starts: np.ndarray
     k_max: int
+    trig: np.ndarray
     phase: np.ndarray
-    dphase: np.ndarray
 
 
 def _build_tables(j: SpinJ, grid: SphereGrid) -> _SpinTables:
-    if grid.n_theta < j.two_j + 1 or grid.n_phi < 2 * j.two_j + 1:
-        raise BandLimitError(
-            f"grid {grid.n_theta}x{grid.n_phi} is below the band limit of two_j = {j.two_j}: integrating Q^2 "
-            f"exactly needs n_theta >= {j.two_j + 1} and n_phi >= {2 * j.two_j + 1}"
-        )
+    grid.check_band_limit(j)
     a0, a1, a2 = _amplitude_table(j, grid.theta_nodes, orders=3)
+    rows, cols = np.triu_indices(j.dim)
+    starts = np.searchsorted(rows, np.arange(j.dim))
     pairs = np.stack((
-        a0[:, None] * a0[None, :],
-        a1[:, None] * a0[None, :] + a0[:, None] * a1[None, :],
-        a2[:, None] * a0[None, :] + 2.0 * a1[:, None] * a1[None, :] + a0[:, None] * a2[None, :],
+        a0[rows] * a0[cols],
+        a1[rows] * a0[cols] + a0[rows] * a1[cols],
+        a2[rows] * a0[cols] + 2.0 * a1[rows] * a1[cols] + a0[rows] * a2[cols],
     ))
     k_max = j.two_j + 2
-    ks = np.arange(-k_max, k_max + 1)
-    phase = np.exp(1j * ks[:, None] * grid.phi_nodes[None, :])
-    dphase = 1j * ks[:, None] * phase
-    for table in (pairs, phase, dphase):
+    angles = np.arange(k_max + 1)[:, None] * grid.phi_nodes[None, :]
+    trig = np.stack((np.cos(angles), -np.sin(angles)), axis=1).reshape(2 * (k_max + 1), grid.n_phi)
+    phase = np.exp(1j * np.arange(-k_max, k_max + 1)[:, None] * grid.phi_nodes[None, :])
+    for table in (pairs, rows, cols, starts, trig, phase):
         table.flags.writeable = False
-    return _SpinTables(pairs=pairs, k_max=k_max, phase=phase, dphase=dphase)
+    return _SpinTables(pairs=pairs, rows=rows, cols=cols, starts=starts, k_max=k_max, trig=trig, phase=phase)
 
 
-def _components_from_state(rho: np.ndarray, tables: _SpinTables) -> Spectrum:
+def _half_spectrum(rho: np.ndarray, tables: _SpinTables) -> Spectrum:
+    """Components k = 0 ... 2J of Q with two theta-derivatives; those at -k are their conjugates."""
+    # pair (r, r') adds to component k = r' - r (m - m' for m = J - r, m' = J - r');
+    # row r holds k = 0 ... d - 1 - r contiguously, and the rows are summed in order
+    terms = rho[tables.rows, tables.cols][:, None] * tables.pairs
     d = rho.shape[0]
-    rows = np.arange(d)[:, None]
-    # entry (r, r') lands in column k + 2J, k = r' - r (m - m' for m = J - r, m' = J - r')
-    skewed = np.zeros((3, d, 2 * d - 1, tables.pairs.shape[-1]), dtype=complex)
-    skewed[:, rows, np.arange(d) - rows + (d - 1)] = rho[:, :, None] * tables.pairs
-    return Spectrum(skewed.sum(axis=1), 1 - d)
+    g = terms[:, :d].copy()
+    for r, start in enumerate(tables.starts[1:], 1):
+        g[:, : d - r] += terms[:, start : start + d - r]
+    return Spectrum(g, 0)
 
 
-def _evaluate(spec: Spectrum, tables: _SpinTables, order: int = 0, phi_derivative: bool = False) -> np.ndarray:
-    phase = tables.dphase if phi_derivative else tables.phase
+def _evaluate(spec: Spectrum, tables: _SpinTables) -> np.ndarray:
+    """Complex field of a spectrum's order-0 components."""
     lo = spec.k0 + tables.k_max
-    return spec.g[order].T @ phase[lo : lo + spec.g.shape[1]]
+    return spec.g[0].T @ tables.phase[lo : lo + spec.g.shape[1]]
+
+
+def _real_synthesis(c: np.ndarray, tables: _SpinTables) -> np.ndarray:
+    """Re sum_k c_k e^{ik phi} over k = 0 ... K-1 for c of shape (..., K, n_theta): one real matmul for the stack."""
+    lead, (n_k, n_theta) = c.shape[:-2], c.shape[-2:]
+    # [Re c_k, Im c_k] interleaved along k, against the cos / -sin rows of the table
+    coeffs = np.ascontiguousarray(np.swapaxes(c, -1, -2)).view(float).reshape(-1, 2 * n_k)
+    return (coeffs @ tables.trig[: 2 * n_k]).reshape(*lead, n_theta, -1)
+
+
+def _from_half(g: np.ndarray, tables: _SpinTables) -> np.ndarray:
+    """Real field of a conjugate-symmetric spectrum from its k >= 0 half g of shape (..., K, n_theta)."""
+    doubled = np.full((g.shape[-2], 1), 2.0)
+    doubled[0] = 1.0
+    return _real_synthesis(doubled * g, tables)
+
+
+def _real_part(spec: Spectrum, tables: _SpinTables) -> np.ndarray:
+    """Re of the order-0 field of a spectrum over k = -n ... n (k0 = -n): each -k folds onto k as its conjugate."""
+    g = spec.g[0]
+    n = -spec.k0
+    folded = g[n:].copy()
+    folded[1:] += np.conj(g[n - 1 :: -1])
+    return _real_synthesis(folded, tables)
 
 
 def _scale_by_k(spec: Spectrum, factor) -> Spectrum:
@@ -229,10 +279,6 @@ def _scale_by_k(spec: Spectrum, factor) -> Spectrum:
 
 def _shift_phi(spec: Spectrum, dk: int) -> Spectrum:
     return Spectrum(spec.g, spec.k0 + dk)
-
-
-def _conjugate(spec: Spectrum) -> Spectrum:
-    return Spectrum(np.conj(spec.g[:, ::-1]), -(spec.k0 + spec.g.shape[1] - 1))
 
 
 def _add(a: Spectrum, b: Spectrum) -> Spectrum:
@@ -270,12 +316,13 @@ def _ladder(spec: Spectrum, grid: SphereGrid, s: int) -> Spectrum:
 class HusimiField:
     """Husimi function of a state sampled on a sphere grid.
 
-    q and dq_dtheta are real arrays of shape (n_theta, n_phi); dq_dphi keeps
-    the complex spectral result (its imaginary part is roundoff for a valid
-    state).  spectral is the dense Spectrum of Q: components k = -2J ... 2J,
-    each with two theta-derivatives, in one (3, 4J + 1, n_theta) array.  It
-    drives the exact differential-operator actions, which sample their
-    results with the tables the grid caches for this spin.
+    q, dq_dtheta and dq_dphi are real arrays of shape (n_theta, n_phi),
+    synthesized together from half: the Spectrum of Q over k = 0 ... 2J,
+    each component with two theta-derivatives, in one (3, 2J + 1, n_theta)
+    array.  spectral is the dense Spectrum over k = -2J ... 2J, mirrored
+    from half on first read.  It drives the exact differential-operator
+    actions, which sample their results with the tables the grid caches for
+    this spin.
     """
 
     j: SpinJ
@@ -283,7 +330,13 @@ class HusimiField:
     q: np.ndarray
     dq_dtheta: np.ndarray
     dq_dphi: np.ndarray
-    spectral: Spectrum
+    half: Spectrum
+
+    @functools.cached_property
+    def spectral(self) -> Spectrum:
+        """Dense Spectrum of Q over k = -2J ... 2J: g_{-k} = conj(g_k), since Q is real."""
+        g = self.half.g
+        return Spectrum(np.concatenate((np.conj(g[:, :0:-1]), g), axis=1), 1 - g.shape[1])
 
 
 def husimi_field(rho: np.ndarray, grid: SphereGrid) -> HusimiField:
@@ -291,11 +344,11 @@ def husimi_field(rho: np.ndarray, grid: SphereGrid) -> HusimiField:
     rho = check_density_matrix(rho)
     j = SpinJ(rho.shape[0] - 1)
     tables = grid._spin_tables(j)
-    spec = _components_from_state(rho, tables)
-    q = _evaluate(spec, tables, order=0).real
-    dq_dtheta = _evaluate(spec, tables, order=1).real
-    dq_dphi = _evaluate(spec, tables, order=0, phi_derivative=True)
-    return HusimiField(j=j, grid=grid, q=q, dq_dtheta=dq_dtheta, dq_dphi=dq_dphi, spectral=spec)
+    half = _half_spectrum(rho, tables)
+    g = half.g
+    # d_phi maps g_k to ik g_k
+    q, dq_dtheta, dq_dphi = _from_half(np.stack((g[0], g[1], 1j * np.arange(j.dim)[:, None] * g[0])), tables)
+    return HusimiField(j=j, grid=grid, q=q, dq_dtheta=dq_dtheta, dq_dphi=dq_dphi, half=half)
 
 
 def husimi_q(rho: np.ndarray, omega: SolidAngle) -> float:
@@ -311,7 +364,7 @@ def husimi_q(rho: np.ndarray, omega: SolidAngle) -> float:
 
 
 def phase_space_jz(field: HusimiField) -> np.ndarray:
-    """Differential jz action -i d_phi Q on the grid (purely imaginary for real Q)."""
+    """Differential jz action -i d_phi Q on the grid (purely imaginary, since Q is real)."""
     return -1j * field.dq_dphi
 
 
@@ -334,7 +387,8 @@ def _checked_tables(field: HusimiField, j: SpinJ) -> _SpinTables:
 def dephasing_dissipator_field(field: HusimiField, lam: float, j: SpinJ) -> np.ndarray:
     """D(Q) of dephasing at rate lam through jz of spin j (see dissipator_field)."""
     tables = _checked_tables(field, j)
-    return _evaluate(_scale_by_k(field.spectral, lambda k: -0.5 * lam * k * k), tables).real
+    g = field.half.g[0]
+    return _from_half(-0.5 * lam * np.arange(j.dim)[:, None] ** 2 * g, tables)
 
 
 def damping_dissipator_field(field: HusimiField, gamma_bar: float, tau_bar_z: float, j: SpinJ) -> np.ndarray:
@@ -346,16 +400,16 @@ def damping_dissipator_field(field: HusimiField, gamma_bar: float, tau_bar_z: fl
     pumped = _mul_theta(
         _ladder(field.spectral, grid, 1), -0.5 * (1.0 + tau_bar_z * grid.cos_theta), 0.5 * tau_bar_z * grid.sin_theta
     )
-    current = _add(drift, pumped)
-    vals = _evaluate(_ladder(current, grid, -1), tables) - _evaluate(_ladder(_conjugate(current), grid, 1), tables)
-    return (0.5 * gamma_bar * vals).real
+    # D(Q) = Re(j- F), F = gamma_bar current
+    return gamma_bar * _real_part(_ladder(_add(drift, pumped), grid, -1), tables)
 
 
 def dissipator_field(field: HusimiField, channel) -> np.ndarray:
     """Phase-space dissipator D(Q) of the channel, sampled on the field's grid.
 
     Dephasing maps component k to -(lam/2) k^2 g_k.  Thermal damping is
-    D(Q) = (1/2)(j- F - j+ F*), one formula at every temperature:
+    D(Q) = (1/2)(j- F - j+ F*) = Re(j- F), since j+ F* = -(j- F)*, one
+    formula at every temperature:
 
         F = gamma_bar [-tau_bar_z (2J Q - jz Q) e^{i phi} sin - (1 + tau_bar_z cos) j+ Q] / 2,
 
@@ -366,36 +420,35 @@ def dissipator_field(field: HusimiField, channel) -> np.ndarray:
     return channel.phase_space_dissipator(field)
 
 
-def floor_mask(field: HusimiField, context: str | None = None) -> tuple:
-    """Nodes where Q clears the Husimi floor, and the quadrature weight of the rest.
+def floored_integral(field: HusimiField, f, values: np.ndarray, context: str | None = None) -> tuple:
+    """Sphere integral of f(values, Q) over the nodes where Q clears the Husimi floor, and the weight of the rest.
 
     Given a context, an exclusion also raises QFloorWarning with the text
     FLOOR_NOTE.  The Wehrl entropy passes none: Q ln Q has a removable
-    limit at Q = 0, so the excluded nodes lose nothing.
+    limit at Q = 0, so the excluded nodes lose nothing.  The mask and its
+    boolean-indexed integrand are built only when some node lies below the
+    floor.
     """
-    mask = field.q >= Q_FLOOR
-    if mask.all():
-        return mask, 0.0
+    q = field.q
+    if q.min() >= Q_FLOOR:
+        return field.grid.integrate(f(values, q)), 0.0
+    mask = q >= Q_FLOOR
     excluded = float(np.sum(field.grid.weights_2d[~mask]))
     if context is not None:
         warnings.warn(FLOOR_NOTE.format(context, excluded), QFloorWarning, stacklevel=3)
-    return mask, excluded
+    integrand = np.zeros_like(q)
+    integrand[mask] = f(values[mask], q[mask])
+    return field.grid.integrate(integrand), excluded
 
 
 def wehrl_entropy(field: HusimiField) -> float:
     """Wehrl entropy -(2J+1)/(4 pi) integral of Q ln Q."""
     pref = (field.j.two_j + 1) / (4.0 * np.pi)
-    mask, _ = floor_mask(field)
-    integrand = np.zeros_like(field.q)
-    integrand[mask] = field.q[mask] * np.log(field.q[mask])
-    return -pref * field.grid.integrate(integrand)
+    return -pref * floored_integral(field, lambda q, _: q * np.log(q), field.q)[0]
 
 
 def wehrl_rate_dissipative(field: HusimiField, channel) -> float:
     """Dissipative Wehrl entropy rate -(2J+1)/(4 pi) integral of D(Q) ln Q."""
     pref = (field.j.two_j + 1) / (4.0 * np.pi)
     dvals = dissipator_field(field, channel)
-    mask, _ = floor_mask(field, "wehrl rate")
-    integrand = np.zeros_like(field.q)
-    integrand[mask] = dvals[mask] * np.log(field.q[mask])
-    return -pref * field.grid.integrate(integrand)
+    return -pref * floored_integral(field, lambda d, q: d * np.log(q), dvals, "wehrl rate")[0]

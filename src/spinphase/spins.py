@@ -312,19 +312,19 @@ def random_state_with_coherence(dim: int, target_c: float, seed: int, max_attemp
     if not 0.0 <= target_c < math.inf:
         raise ValueError(f"target coherence must be finite and >= 0, got {target_c}")
     rng = np.random.default_rng(seed)
+    rows, cols = np.triu_indices(dim, 1)
     for _ in range(max_attempts):
         pops = rng.dirichlet(np.ones(dim))
         if target_c == 0.0:
             return np.diag(pops.astype(complex))
+        # one draw per attempt, in the row-major order of the upper triangle; (re, im) pairs read as complex
+        if dim == 3:
+            entries = rng.normal(size=rows.size)
+        else:
+            entries = rng.normal(size=(rows.size, 2)).view(complex)[:, 0]
         direction = np.zeros((dim, dim), dtype=complex)
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                if dim == 3:
-                    entry = rng.normal()
-                else:
-                    entry = rng.normal() + 1j * rng.normal()
-                direction[a, b] = entry
-                direction[b, a] = np.conj(entry)
+        direction[rows, cols] = entries
+        direction[cols, rows] = np.conj(entries)
         weight = l1_coherence(direction)
         if weight == 0.0:
             continue

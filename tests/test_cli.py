@@ -367,3 +367,72 @@ def test_grid_below_the_band_limit_is_a_named_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "--grid" in err and "band limit" in err and "n_phi >= 17" in err
     assert not out.exists()
+
+
+def test_grid_is_checked_before_propagation(tmp_path, capsys, monkeypatch):
+    from spinphase import cli, dynamics
+
+    def fail(*args, **kwargs):
+        raise AssertionError("propagated before the grid was checked")
+
+    monkeypatch.setattr(dynamics, "evolve", fail)
+    monkeypatch.setattr(cli, "evolve", fail)
+    out = tmp_path / "o.csv"
+    code = run([
+        "evolve", "--channel", "damping", "--j", "4", "--gamma", "1", "--nbar", "0.5", "--seed", "3",
+        "--coherence", "0.4", "--grid", "4x4", "--tmax", "1", "--steps", "200000", "--out", out,
+    ])
+    assert code == 2
+    assert "--grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["8x3", "1x16", "3x0"])
+def test_grid_below_the_sphere_grid_minimum_names_the_flag(tmp_path, capsys, grid):
+    out = tmp_path / "o.csv"
+    argv = ["evolve", "--channel", "dephasing", "--lambda", "1", "--bloch", "0.1,0,0", "--grid", grid]
+    code = run(argv + ["--out", out])
+    assert code == 2
+    assert "--grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweeps_and_fig2_compute_no_wehrl_rate(tmp_path, monkeypatch):
+    # dS/dt feeds only evolve's phi_dot column; sweeps and figures write sigma alone
+    from spinphase import entropy_production, phase_space
+
+    calls = []
+    real = phase_space.wehrl_rate_dissipative
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(entropy_production, "wehrl_rate_dissipative", counting)
+    monkeypatch.setattr(phase_space, "wehrl_rate_dissipative", counting)
+    damping = ["--channel", "damping", "--gamma", "1", "--nbar", "0.5", "--grid", "32x32", "--points", "4"]
+    assert run(["sweep-coherence", *damping, "--bloch", "0,0,0.2", "--out", tmp_path / "q.csv"]) == 0
+    assert run(["sweep-coherence", *damping, "--j", "1", "--seed", "2", "--coherence", "0.5",
+                "--out", tmp_path / "s.csv"]) == 0
+    assert run(["fig", "--id", "2", "--out", tmp_path]) == 0
+    assert calls == []
+    assert run(["evolve", "--channel", "damping", "--gamma", "1", "--nbar", "0.5", "--bloch", "0.3,0,0.1",
+                "--grid", "32x32", "--tmax", "0.1", "--steps", "2", "--out", tmp_path / "e.csv"]) == 0
+    assert len(calls) == 3
+
+
+def test_write_csv_formats_ints_non_finite_and_missing_cells(tmp_path):
+    from spinphase.cli import write_csv
+
+    path = tmp_path / "t.csv"
+    rows = [
+        [0.5, 3, math.nan, math.inf, -0.0],
+        [np.float64(-0.25), np.int64(0), None, -math.inf, np.float64(math.nan)],
+    ]
+    write_csv(str(path), {"b": 2, "a": "x"}, ["f", "n", "g", "h", "k"], rows, ["floor note"])
+    assert path.read_text() == (
+        "# a = x\n# b = 2\nf,n,g,h,k\n"
+        "5.00000000000000000e-01,3,nan,inf,-0.00000000000000000e+00\n"
+        "-2.50000000000000000e-01,0,nan,-inf,nan\n"
+        "# warning: floor note\n"
+    )

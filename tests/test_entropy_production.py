@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from spinphase import (
     DimensionError,
     EpReport,
     PurityDivergence,
+    QFloorWarning,
     SphereGrid,
     SpinJ,
     SupportError,
@@ -34,6 +36,7 @@ from spinphase import (
     husimi_field,
     make_spin_operators,
     random_state_with_coherence,
+    sigma_damping_quad,
     vn_rate_dephasing,
 )
 from spinphase.entropy_production import _bracket
@@ -224,6 +227,27 @@ def test_quadrature_report_balance():
     assert isinstance(report, EpReport)
     assert report.route == "quadrature"
     assert report.ds_dt == pytest.approx(report.sigma_dot - report.phi_dot, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "two_j, nbar, pure", [(1, 0.5, False), (2, 0.0, False), (8, math.inf, False), (8, 0.5, True)]
+)
+def test_sigma_only_damping_rate_is_the_full_reports_sigma(two_j, nbar, pure):
+    j = SpinJ(two_j)
+    bath = BathParams.from_tau_bar(1.0, 0.0) if math.isinf(nbar) else BathParams.from_nbar(1.0, nbar)
+    if pure:  # |J, J>: its Husimi field underflows, so both carry the same floor note
+        rho = np.zeros((j.dim, j.dim), dtype=complex)
+        rho[0, 0] = 1.0
+    else:
+        rho = random_state_with_coherence(j.dim, 0.3, seed=4)
+    field = husimi_field(rho, SphereGrid(32, 32))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QFloorWarning)
+        sigma = sigma_damping_quad(field, bath, j)
+        report = ep_rate_damping_quad(field, bath, j)
+    assert sigma.sigma_dot == report.sigma_dot
+    assert sigma.warnings == report.warnings
+    assert bool(sigma.warnings) == pure
 
 
 def test_quadrature_dephasing_flux_free():

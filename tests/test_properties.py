@@ -1,6 +1,7 @@
 """Invariants of Husimi fields, their dissipators and the von Neumann rates over the advertised spin range."""
 
 import math
+import warnings
 
 import numpy as np
 from hypothesis import given
@@ -10,14 +11,17 @@ from spinphase import (
     AmplitudeDampingChannel,
     BathParams,
     DephasingChannel,
+    QFloorWarning,
     SphereGrid,
     SpinJ,
     damping_stationary_state,
     dissipator_field,
+    ep_rate_dephasing_quad,
     ep_vn_general,
     husimi_field,
     integrate,
     make_spin_operators,
+    sigma_damping_quad,
     vn_rate_dephasing,
 )
 
@@ -70,3 +74,25 @@ def test_von_neumann_rates_obey_spohn_and_balance(two_j, seed, mixing, gamma, nb
     assert report.sigma_dot >= -1e-12
     assert abs(report.sigma_dot - (report.phi_dot + report.ds_dt)) < 1e-10
     assert vn_rate_dephasing(rho, lam, ops) >= -1e-12
+
+
+@given(
+    two_j=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.integers(1, 9),
+    lam=st.floats(0.05, 3.0),
+    gamma=st.floats(0.05, 3.0),
+    nbar=st.one_of(st.floats(0.0, 3.0), st.just(math.inf)),
+)
+def test_quadrature_production_rates_are_nonnegative(two_j, seed, rank, lam, gamma, nbar):
+    # the damping integrand is negative where 0 < cos(theta) < -tau_bar_z; only its integral is bounded
+    j = SpinJ(two_j)
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(j.dim, min(rank, j.dim))) + 1j * rng.normal(size=(j.dim, min(rank, j.dim)))
+    rho = a @ a.conj().T
+    field = husimi_field(rho / np.trace(rho).real, GRID)
+    bath = BathParams.from_tau_bar(gamma, 0.0) if math.isinf(nbar) else BathParams.from_nbar(gamma, nbar)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QFloorWarning)
+        assert ep_rate_dephasing_quad(field, lam, j).sigma_dot >= -1e-12
+        assert sigma_damping_quad(field, bath, j).sigma_dot >= -1e-12

@@ -244,3 +244,43 @@ def test_random_state_deterministic_in_seed():
 def test_random_state_rejects_unreachable_target():
     with pytest.raises(UnreachableCoherence):
         random_state_with_coherence(2, 5.0, seed=0)
+
+
+def _scalar_draw_state(dim, target_c, seed, max_attempts=200):
+    """The entry-by-entry draw that random_state_with_coherence makes in one call per attempt."""
+    rng = np.random.default_rng(seed)
+    for _ in range(max_attempts):
+        pops = rng.dirichlet(np.ones(dim))
+        if target_c == 0.0:
+            return np.diag(pops.astype(complex))
+        direction = np.zeros((dim, dim), dtype=complex)
+        for a in range(dim):
+            for b in range(a + 1, dim):
+                entry = rng.normal() if dim == 3 else rng.normal() + 1j * rng.normal()
+                direction[a, b] = entry
+                direction[b, a] = np.conj(entry)
+        weight = l1_coherence(direction)
+        if weight == 0.0:
+            continue
+        direction /= weight
+        candidate = np.diag(pops) + target_c * direction
+        if abs(l1_coherence(candidate) - target_c) > 1e-6:
+            continue
+        if float(np.min(np.linalg.eigvalsh(candidate))) < 1e-12:
+            continue
+        return candidate
+    return None
+
+
+def test_random_state_draws_match_the_scalar_loop_bit_for_bit():
+    # the larger targets include states found only after rejected draws, and unreachable ones
+    for dim in (2, 3, 4, 5, 9):
+        for seed in range(6):
+            for target in (0.0, 0.3, 0.9, 1.5, 3.0):
+                expected = _scalar_draw_state(dim, target, seed, max_attempts=20)
+                if expected is None:
+                    with pytest.raises(UnreachableCoherence):
+                        random_state_with_coherence(dim, target, seed, max_attempts=20)
+                    continue
+                got = random_state_with_coherence(dim, target, seed, max_attempts=20)
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), (dim, seed, target)
