@@ -37,7 +37,14 @@ from .entropy_production import (
     sigma_damping_quad,
     vn_rate_dephasing,
 )
-from .errors import BandLimitError, PurityDivergence, QFloorWarning, SupportError, TemperatureDivergence
+from .errors import (
+    BandLimitError,
+    PurityDivergence,
+    QFloorWarning,
+    StepCountError,
+    SupportError,
+    TemperatureDivergence,
+)
 from .phase_space import SphereGrid, husimi_field, wehrl_entropy
 from .spins import (
     PAULI_X,
@@ -613,6 +620,9 @@ def main(argv=None) -> int:
         return 1
     except BandLimitError as exc:
         print(f"error: --grid: {exc}", file=sys.stderr)
+        return 2
+    except StepCountError as exc:
+        print(f"error: --steps: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -336,14 +336,20 @@ class Trajectory:
 def evolve(spec: Channel, rho0: np.ndarray, t_max: float, n_steps: int) -> Trajectory:
     """Propagate rho0 with classical fixed-step fourth-order Runge-Kutta.
 
-    The generator is constant, so one RK4 step is a fixed linear map.  It is
-    built once, as a d^2 x d^2 matrix, by taking a single RK4 step of every
-    basis matrix |a><b| at once (four generator calls on the stack), and
-    each step is then one matrix-vector product.  Every stored state is
-    re-hermitized and trace-renormalized.  After the last step one batched
-    eigenvalue pass checks the whole trajectory and emits PositivityWarning
-    once if any state dips below the -1e-8 eigenvalue floor, which signals
-    a too-coarse step size.
+    The generator is constant, so one RK4 step is a fixed linear map S.  It
+    is built once, as a d^2 x d^2 matrix, by taking a single RK4 step of
+    every basis matrix |a><b| at once (four generator calls on the stack).
+    The trajectory is then filled by doubling: once states 0 .. k-1 are
+    known, states k .. 2k-1 are one matrix product of those rows with S^k,
+    and S^k is squared, so n steps cost about 2 log2 n matrix products.
+    S is linear, preserves the trace and maps Hermitian and anti-Hermitian
+    parts to themselves, so every stored state is re-hermitized and
+    trace-renormalized in one batched pass at the end, which equals doing
+    so after every step up to roundoff.  A step map that diverges (an
+    overflow anywhere in the stack) raises StepCountError.  Otherwise one
+    batched eigenvalue pass checks the whole trajectory and emits
+    PositivityWarning once if any state dips below the -1e-8 eigenvalue
+    floor, which signals a too-coarse step size.
     """
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
         raise StepCountError(f"n_steps must be a positive integer, got {n_steps}")
@@ -357,17 +363,31 @@ def evolve(spec: Channel, rho0: np.ndarray, t_max: float, n_steps: int) -> Traje
     k2 = apply_liouvillian(spec, basis + 0.5 * h * k1)
     k3 = apply_liouvillian(spec, basis + 0.5 * h * k2)
     k4 = apply_liouvillian(spec, basis + h * k3)
-    # row k is the step applied to basis matrix k, so the map acts on vec(rho) by the transpose
-    step = (basis + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).reshape(d * d, d * d).T
+    # row k is the step applied to basis matrix k, so it acts on a row-major vec(rho) row from the right
+    power = (basis + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).reshape(d * d, d * d)
     times = np.linspace(0.0, t_max, n_steps + 1)
     states = np.empty((n_steps + 1, d, d), dtype=complex)
-    states[0] = rho
-    for i in range(n_steps):
-        rho = (step @ rho.reshape(-1)).reshape(d, d)
-        rho = 0.5 * (rho + rho.conj().T)
-        rho = rho / np.trace(rho).real
-        states[i + 1] = rho
-    worst = float(np.linalg.eigvalsh(states[1:]).min())
+    rows = states.reshape(n_steps + 1, d * d)
+    rows[0] = rho.reshape(-1)
+    with np.errstate(all="ignore"):
+        known = 1
+        while True:
+            count = min(known, n_steps + 1 - known)
+            np.matmul(rows[:count], power, out=rows[known : known + count])
+            known += count
+            if known > n_steps:
+                break
+            power = power @ power
+        tail = states[1:]
+        # rho + rho^+ is twice the Hermitian part; the exact factor 2 cancels in the renormalization
+        tail += tail.conj().swapaxes(-1, -2)
+        tail /= np.trace(tail, axis1=-2, axis2=-1).real[:, None, None]
+        finite = np.isfinite(tail).all()
+    if not finite:
+        raise StepCountError(
+            f"{n_steps} steps over t_max = {t_max:g} are too coarse for this channel: the step map diverges"
+        )
+    worst = float(np.linalg.eigvalsh(tail).min())
     if worst < POSITIVITY_FLOOR:
         warnings.warn(
             f"minimum eigenvalue reached {worst:.3e}; steps too coarse for this channel",

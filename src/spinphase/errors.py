@@ -30,7 +30,7 @@ class BasisError(ValueError):
 
 
 class StepCountError(ValueError):
-    """Integrator asked to run with a non-positive step count."""
+    """Integrator step count is not a positive integer, or too coarse: the step map diverges for the channel."""
 
 
 class ZeroRateError(ValueError):

@@ -106,19 +106,22 @@ def _validated(rho, with_vectors: bool) -> tuple:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionError(f"density matrix must be square, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho)):
-        raise StateValidationError("density matrix has non-finite entries")
-    herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > HERMITICITY_TOL:
+    # a non-finite entry makes this NaN or inf, so only the failure path looks for one
+    with np.errstate(invalid="ignore", over="ignore"):
+        herm = np.abs(rho - rho.conj().T).max()
+    if not herm <= HERMITICITY_TOL:
+        if not np.isfinite(rho).all():
+            raise StateValidationError("density matrix has non-finite entries")
         raise StateValidationError(f"matrix not Hermitian: max |rho - rho^+| = {herm:.3e}")
-    tr = np.trace(rho)
+    tr = rho.trace()
     if abs(tr - 1.0) > TRACE_TOL:
         raise StateValidationError(f"trace must be 1, got {tr:.15g}")
     if with_vectors:
         vals, vecs = np.linalg.eigh(rho)
     else:
         vals, vecs = np.linalg.eigvalsh(rho), None
-    lo = float(np.min(vals))
+    # LAPACK returns the eigenvalues in ascending order
+    lo = float(vals[0])
     if lo < EIG_FLOOR:
         raise StateValidationError(f"negative eigenvalue {lo:.3e} below floor {EIG_FLOOR}")
     return rho, vals, vecs

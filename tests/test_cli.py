@@ -397,6 +397,19 @@ def test_grid_below_the_sphere_grid_minimum_names_the_flag(tmp_path, capsys, gri
     assert not out.exists()
 
 
+def test_too_coarse_steps_are_a_named_error(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    code = run([
+        "evolve", "--channel", "damping", "--j", "4", "--gamma", "1", "--nbar", "0.5", "--seed", "3",
+        "--coherence", "0.4", "--grid", "32x32", "--tmax", "50", "--steps", "200", "--out", out,
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --steps: ") and "too coarse for this channel" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_sweeps_and_fig2_compute_no_wehrl_rate(tmp_path, monkeypatch):
     # dS/dt feeds only evolve's phi_dot column; sweeps and figures write sigma alone
     from spinphase import entropy_production, phase_space

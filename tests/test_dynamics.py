@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -462,3 +463,63 @@ def test_dephasing_weights_match_the_double_commutator(two_j):
     commutator_form = -0.65 * (ops.jz @ inner - inner @ ops.jz)
     for out in (chan.dissipator(rho), dephasing_dissipator(1.3, ops, rho), apply_liouvillian(chan, rho)):
         assert np.abs(out - commutator_form).max() < 1e-13
+
+
+def longdouble_oracle(spec, rho0, t_max, n_steps):
+    """evolve's RK4 step map, built the same way, applied one step at a time in extended precision.
+
+    Each step is re-hermitized and trace-renormalized, so the oracle shows
+    what doubling and the single batched clean-up at the end cost in accuracy.
+    """
+    d = spec.dim
+    h = t_max / n_steps
+    basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    k1 = apply_liouvillian(spec, basis)
+    k2 = apply_liouvillian(spec, basis + 0.5 * h * k1)
+    k3 = apply_liouvillian(spec, basis + 0.5 * h * k2)
+    k4 = apply_liouvillian(spec, basis + h * k3)
+    step = (basis + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).reshape(d * d, d * d).astype(np.clongdouble)
+    rho = np.asarray(rho0, dtype=np.clongdouble)
+    states = [rho]
+    for _ in range(n_steps):
+        rho = (rho.reshape(-1) @ step).reshape(d, d)
+        rho = 0.5 * (rho + rho.conj().T)
+        rho = rho / np.trace(rho).real
+        states.append(rho)
+    return np.stack(states)
+
+
+def oracle_cases():
+    """(channel, rho0, t_max, n_steps, atol): a long unitary qubit run, the fig 1 pair, two damped two_j = 8 runs."""
+    up = bloch_to_rho([0.0, 0.0, 1.0])
+    ops = make_spin_operators(SpinJ(8))
+    rho = random_rho(np.random.default_rng(11), 9)
+    closed = UnitaryChannel(hamiltonian=0.5 * PAULI_X)
+    return {
+        "unitary_20000_steps": (closed, bloch_to_rho([0.6, 0.2, 0.3]), 2000.0, 20000, 1e-12),
+        "fig1_closed": (closed, up, 20.0, 2000, 1e-13),
+        "fig1_damped": (AmplitudeDampingChannel(gamma=0.5, nbar=0.5, ops=OPS), up, 20.0, 2000, 1e-13),
+        "davies_spin4": (channel_zoo(8)["davies"], rho, 5.0, 500, 1e-13),
+        "damping_spin4_with_h": (
+            AmplitudeDampingChannel(gamma=0.7, nbar=0.5, ops=ops, hamiltonian=ops.jx + 0.3 * ops.jz),
+            rho, 5.0, 500, 1e-13,
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(oracle_cases()))
+def test_evolve_by_doubling_matches_the_extended_precision_oracle(case):
+    spec, rho0, t_max, n_steps, atol = oracle_cases()[case]
+    traj = evolve(spec, rho0, t_max, n_steps)
+    assert np.abs(traj.states - longdouble_oracle(spec, rho0, t_max, n_steps)).max() <= atol
+    assert np.array_equal(traj.states[0], rho0)
+
+
+def test_divergent_step_map_is_a_named_step_count_error():
+    # the fastest damping mode at two_j = 8 decays at rate 67.5, so RK4 needs h < 2.79 / 67.5 = 0.041; h = 0.25 diverges
+    ops = make_spin_operators(SpinJ(8))
+    rho0 = random_rho(np.random.default_rng(3), 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepCountError, match="200 steps .* too coarse for this channel"):
+            evolve(AmplitudeDampingChannel(gamma=1.0, nbar=0.5, ops=ops), rho0, 50.0, 200)

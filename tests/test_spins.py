@@ -24,7 +24,7 @@ from spinphase import (
     rho_to_bloch,
     von_neumann_entropy,
 )
-from spinphase.spins import PAULI_X, PAULI_Y, PAULI_Z
+from spinphase.spins import PAULI_X, PAULI_Y, PAULI_Z, density_eigh
 
 LN2 = math.log(2.0)
 
@@ -78,6 +78,21 @@ def test_check_density_matrix_accepts_and_rejects():
         check_density_matrix(np.diag([0.9, 0.2]))
     with pytest.raises(StateValidationError):
         check_density_matrix(np.diag([1.2, -0.2]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.inf, math.inf), complex(0.0, -math.inf)])
+@pytest.mark.parametrize("where", [(0, 0), (2, 2), (0, 1), (2, 0)])
+def test_non_finite_entries_are_named_on_and_off_the_diagonal(bad, where):
+    rho = np.eye(3, dtype=complex) / 3.0
+    rho[where] = bad
+    for check in (check_density_matrix, density_eigh):
+        with pytest.raises(StateValidationError, match="non-finite entries"):
+            check(rho)
+    # a Hermitian pair of infinities cancels in rho - rho^+ to NaN, not to zero
+    if where[0] != where[1]:
+        rho[where[::-1]] = np.conj(bad)
+        with pytest.raises(StateValidationError, match="non-finite entries"):
+            check_density_matrix(rho)
 
 
 def test_bloch_round_trip():
