@@ -39,6 +39,7 @@ from .entropy_production import (
 )
 from .errors import (
     BandLimitError,
+    PositivityWarning,
     PurityDivergence,
     QFloorWarning,
     StepCountError,
@@ -325,7 +326,13 @@ def cmd_evolve(args) -> int:
     rho0 = _initial_state(args, j)
     if args.tmax <= 0:
         raise CliError("--tmax: must be > 0")
-    traj = evolve(rates.channel, rho0, args.tmax, args.steps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", PositivityWarning)
+        try:
+            traj = evolve(rates.channel, rho0, args.tmax, args.steps)
+        except PositivityWarning as exc:
+            # every later state check rejects the same eigenvalue, so the run cannot go on
+            raise CliError(f"--steps: {exc}") from None
     t_name, t_scale = rates.time
     is_qubit = j.dim == 2
 

@@ -26,6 +26,7 @@ from .errors import (
 )
 from .phase_space import damping_dissipator_field, dephasing_dissipator_field
 from .spins import (
+    EIG_FLOOR,
     SpinJ,
     SpinOperators,
     check_density_matrix,
@@ -33,8 +34,6 @@ from .spins import (
     read_only,
     relative_entropy_of_coherence,
 )
-
-POSITIVITY_FLOOR = -1e-8
 
 
 class Channel:
@@ -348,8 +347,9 @@ def evolve(spec: Channel, rho0: np.ndarray, t_max: float, n_steps: int) -> Traje
     so after every step up to roundoff.  A step map that diverges (an
     overflow anywhere in the stack) raises StepCountError.  Otherwise one
     batched eigenvalue pass checks the whole trajectory and emits
-    PositivityWarning once if any state dips below the -1e-8 eigenvalue
-    floor, which signals a too-coarse step size.
+    PositivityWarning once if any state dips below spins.EIG_FLOOR
+    (-1e-10), the floor every state check applies, which signals a
+    too-coarse step size.
     """
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
         raise StepCountError(f"n_steps must be a positive integer, got {n_steps}")
@@ -388,7 +388,7 @@ def evolve(spec: Channel, rho0: np.ndarray, t_max: float, n_steps: int) -> Traje
             f"{n_steps} steps over t_max = {t_max:g} are too coarse for this channel: the step map diverges"
         )
     worst = float(np.linalg.eigvalsh(tail).min())
-    if worst < POSITIVITY_FLOOR:
+    if worst < EIG_FLOOR:
         warnings.warn(
             f"minimum eigenvalue reached {worst:.3e}; steps too coarse for this channel",
             PositivityWarning,

@@ -8,43 +8,47 @@ Fourier series
 
     F(theta, phi) = sum_k g_k(theta) exp(i k phi),  |k| <= 2J.
 
-A field keeps that series as one dense Spectrum: a complex array
-g[order, k - k0, theta] over a contiguous range of k, where order 0 holds
-the components g_k and orders 1 and 2 their analytic theta-derivatives.
-The differential actions
-
-    jz  -> -i d_phi
-    j+  ->  exp(+i phi) (d_theta + i cot(theta) d_phi)
-    j-  -> -exp(-i phi) (d_theta - i cot(theta) d_phi)
-
-then reduce to exact recurrences applied to every k at once, which keeps
-the dissipator fields free of finite-difference noise.
-
 Q is real, so its spectrum is conjugate symmetric, g_{-k} = conj(g_k), and
-a field keeps only the k >= 0 half; the full range is mirrored from it the
-first time a ladder action or the damping dissipator reads it.  A real
-field is synthesized from a k >= 0 half as
+a field keeps only the k >= 0 half: a complex array half[order, k, theta]
+for k = 0 ... 2J, where order 0 holds the components g_k and orders 1 and
+2 their analytic theta-derivatives.  A real field is synthesized from a
+k >= 0 half as
 
     F = Re sum_{k >= 0} c_k e^{ik phi} = sum_k (Re c_k cos(k phi) - Im c_k sin(k phi)),
 
 with c_k = 2 g_k for k > 0, which is one real matrix product of the
 interleaved [Re c_k, Im c_k] columns with a cos/sin table.
 
+The differential actions
+
+    jz  -> -i d_phi
+    j+  ->  exp(+i phi) (d_theta + i cot(theta) d_phi)
+    j-  -> -exp(-i phi) (d_theta - i cot(theta) d_phi)
+
+are read pointwise from the synthesized Q, dQ/dtheta and dQ/dphi.  The
+dissipators keep each azimuthal order k, so D(Q) is one synthesis of a
+per-k half spectrum d_k built from the exact derivatives, free of
+finite-difference noise.  Dephasing gives d_k = -(lam/2) k^2 g_k.  Thermal
+damping, D(Q) = Re(j- F) with F the current of dissipator_field, averages
+the k and -k ladder recurrences, so its coefficients are real and even in
+k; with c = cos(theta), s = sin(theta), t = tau_bar_z and n = 2J,
+
+    d_k = (gamma_bar / 2) [(1 + t c) g_k'' + ((c + t) / s + (n - 2) t s) g_k'
+                           + (2 n t c - k^2 c (c + t) / s^2) g_k].
+
 Whatever depends only on J and the grid is built on first use and cached
 on the SphereGrid, keyed by 2J: the pair products a_r a_r' (r <= r') of the
-coherent amplitudes with their first and second theta-derivatives, the
-cos/sin table and the complex phases e^{ik phi} for |k| <= 2J + 2.  A
-state's half spectrum is then one broadcast product of rho with the pair
-table, summed along the diagonals k = r' - r, and Q, dQ/dtheta and dQ/dphi
-come out of one real (3 n_theta x 2K) @ (2K x n_phi) product.  The complex
-phase table serves only the public ladder actions, whose fields are complex.
+coherent amplitudes with their first and second theta-derivatives, and the
+cos/sin table over k = 0 ... 2J.  A state's half spectrum is then one
+broadcast product of rho with the pair table, summed along the diagonals
+k = r' - r, and Q, dQ/dtheta and dQ/dphi come out of one real
+(3 n_theta x 2K) @ (2K x n_phi) product.
 
 Quadrature pairs Gauss-Legendre nodes in cos(theta) with a uniform phi
 grid, so there are no polar nodes and trigonometric polynomials up to the
 band limit integrate exactly.
 """
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -69,7 +73,7 @@ class SolidAngle(NamedTuple):
 class SphereGrid:
     """Product quadrature grid: Gauss-Legendre in cos(theta) times uniform phi.
 
-    The grid also caches the spectral-engine tables of each spin it has
+    The grid also caches the synthesis tables of each spin it has
     sampled a field of; they are built on the first field, not here, and
     only at or above the band limit n_theta >= 2J + 1, n_phi >= 4J + 1.
     """
@@ -88,7 +92,6 @@ class SphereGrid:
         self.cos_theta = np.cos(self.theta_nodes)
         self.sin_theta = np.sin(self.theta_nodes)
         self.cot_theta = self.cos_theta / self.sin_theta
-        self.inv_sin2_theta = 1.0 / self.sin_theta**2
         self.weights_2d = np.outer(self.theta_weights, np.full(self.n_phi, 2.0 * np.pi / self.n_phi))
         self._tables = {}
 
@@ -170,46 +173,23 @@ def coherent_amplitudes(j: SpinJ, theta: float) -> CoherentAmplitudes:
     return CoherentAmplitudes(j=j, theta=theta, amplitudes=table[0, :, 0].copy(), damplitudes=table[1, :, 0].copy())
 
 
-# ---------------------------------------------------------------------------
-# dense spectra: g[order, i] is the component k = k0 + i, field = sum_k g_k e^{ik phi}
-
-
-class Spectrum(NamedTuple):
-    """Azimuthal spectrum over the contiguous range k0 ... k0 + K - 1.
-
-    g has shape (orders, K, n_theta): order 0 holds the components g_k and
-    orders 1 and 2 their analytic theta-derivatives.
-    """
-
-    g: np.ndarray
-    k0: int
-
-    @property
-    def ks(self) -> np.ndarray:
-        return self.k0 + np.arange(self.g.shape[1])
-
-
 @dataclass(frozen=True, eq=False)
 class _SpinTables:
-    """What the spectral engine needs of one spin on one grid; read-only once built.
+    """What the Husimi synthesis needs of one spin on one grid; read-only once built.
 
     pairs[:, p] holds a_r a_r', its first theta-derivative and its second
     for the p-th pair (rows[p], cols[p]) of the upper triangle r <= r', in
     row-major order, so row r starts at starts[r] and runs over k = r' - r =
     0 ... 2J - r.  A state's k >= 0 components are rho[r, r'] times these
     summed over the rows.  trig rows 2k and 2k + 1 hold cos(k phi) and -sin(k phi)
-    on the phi nodes, k = 0 ... k_max; phase[k + k_max] is e^{ik phi}.
-    k_max = 2J + 2 covers every spectrum the ladder recurrences produce
-    from a state.
+    on the phi nodes, k = 0 ... 2J.
     """
 
     pairs: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     starts: np.ndarray
-    k_max: int
     trig: np.ndarray
-    phase: np.ndarray
 
 
 def _build_tables(j: SpinJ, grid: SphereGrid) -> _SpinTables:
@@ -222,16 +202,14 @@ def _build_tables(j: SpinJ, grid: SphereGrid) -> _SpinTables:
         a1[rows] * a0[cols] + a0[rows] * a1[cols],
         a2[rows] * a0[cols] + 2.0 * a1[rows] * a1[cols] + a0[rows] * a2[cols],
     ))
-    k_max = j.two_j + 2
-    angles = np.arange(k_max + 1)[:, None] * grid.phi_nodes[None, :]
-    trig = np.stack((np.cos(angles), -np.sin(angles)), axis=1).reshape(2 * (k_max + 1), grid.n_phi)
-    phase = np.exp(1j * np.arange(-k_max, k_max + 1)[:, None] * grid.phi_nodes[None, :])
-    for table in (pairs, rows, cols, starts, trig, phase):
+    angles = np.arange(j.dim)[:, None] * grid.phi_nodes[None, :]
+    trig = np.stack((np.cos(angles), -np.sin(angles)), axis=1).reshape(2 * j.dim, grid.n_phi)
+    for table in (pairs, rows, cols, starts, trig):
         table.flags.writeable = False
-    return _SpinTables(pairs=pairs, rows=rows, cols=cols, starts=starts, k_max=k_max, trig=trig, phase=phase)
+    return _SpinTables(pairs=pairs, rows=rows, cols=cols, starts=starts, trig=trig)
 
 
-def _half_spectrum(rho: np.ndarray, tables: _SpinTables) -> Spectrum:
+def _half_spectrum(rho: np.ndarray, tables: _SpinTables) -> np.ndarray:
     """Components k = 0 ... 2J of Q with two theta-derivatives; those at -k are their conjugates."""
     # pair (r, r') adds to component k = r' - r (m - m' for m = J - r, m' = J - r');
     # row r holds k = 0 ... d - 1 - r contiguously, and the rows are summed in order
@@ -240,76 +218,18 @@ def _half_spectrum(rho: np.ndarray, tables: _SpinTables) -> Spectrum:
     g = terms[:, :d].copy()
     for r, start in enumerate(tables.starts[1:], 1):
         g[:, : d - r] += terms[:, start : start + d - r]
-    return Spectrum(g, 0)
-
-
-def _evaluate(spec: Spectrum, tables: _SpinTables) -> np.ndarray:
-    """Complex field of a spectrum's order-0 components."""
-    lo = spec.k0 + tables.k_max
-    return spec.g[0].T @ tables.phase[lo : lo + spec.g.shape[1]]
-
-
-def _real_synthesis(c: np.ndarray, tables: _SpinTables) -> np.ndarray:
-    """Re sum_k c_k e^{ik phi} over k = 0 ... K-1 for c of shape (..., K, n_theta): one real matmul for the stack."""
-    lead, (n_k, n_theta) = c.shape[:-2], c.shape[-2:]
-    # [Re c_k, Im c_k] interleaved along k, against the cos / -sin rows of the table
-    coeffs = np.ascontiguousarray(np.swapaxes(c, -1, -2)).view(float).reshape(-1, 2 * n_k)
-    return (coeffs @ tables.trig[: 2 * n_k]).reshape(*lead, n_theta, -1)
+    return g
 
 
 def _from_half(g: np.ndarray, tables: _SpinTables) -> np.ndarray:
-    """Real field of a conjugate-symmetric spectrum from its k >= 0 half g of shape (..., K, n_theta)."""
+    """Real field of a conjugate-symmetric spectrum from its k >= 0 half g of shape (..., 2J + 1, n_theta)."""
     doubled = np.full((g.shape[-2], 1), 2.0)
     doubled[0] = 1.0
-    return _real_synthesis(doubled * g, tables)
-
-
-def _real_part(spec: Spectrum, tables: _SpinTables) -> np.ndarray:
-    """Re of the order-0 field of a spectrum over k = -n ... n (k0 = -n): each -k folds onto k as its conjugate."""
-    g = spec.g[0]
-    n = -spec.k0
-    folded = g[n:].copy()
-    folded[1:] += np.conj(g[n - 1 :: -1])
-    return _real_synthesis(folded, tables)
-
-
-def _scale_by_k(spec: Spectrum, factor) -> Spectrum:
-    return Spectrum(factor(spec.ks)[:, None] * spec.g, spec.k0)
-
-
-def _shift_phi(spec: Spectrum, dk: int) -> Spectrum:
-    return Spectrum(spec.g, spec.k0 + dk)
-
-
-def _add(a: Spectrum, b: Spectrum) -> Spectrum:
-    """Sum of two spectra over the same k range, keeping the derivative orders both carry."""
-    if a.k0 != b.k0 or a.g.shape[1] != b.g.shape[1]:
-        raise ValueError("spectra cover different k ranges")
-    n = min(a.g.shape[0], b.g.shape[0])
-    return Spectrum(a.g[:n] + b.g[:n], a.k0)
-
-
-def _mul_theta(spec: Spectrum, h: np.ndarray, dh: np.ndarray) -> Spectrum:
-    """Multiply by a theta-only function h with derivative dh, keeping one derivative order."""
-    g = spec.g
-    return Spectrum(np.stack((g[0] * h, g[1] * h + g[0] * dh)), spec.k0)
-
-
-def _ladder(spec: Spectrum, grid: SphereGrid, s: int) -> Spectrum:
-    """j+ (s = 1) or j- (s = -1): s e^{i s phi} (d_theta + i s cot d_phi); consumes one derivative order."""
-    g = spec.g
-    if g.shape[0] < 2:
-        raise ValueError(f"need at least one stored derivative to apply {'j+' if s > 0 else 'j-'}")
-    ks = s * spec.ks[:, None]
-    kcot, kinv2 = ks * grid.cot_theta, ks * grid.inv_sin2_theta
-    out = np.empty((g.shape[0] - 1,) + g.shape[1:], dtype=complex)
-    out[0] = s * (g[1] - kcot * g[0])
-    if g.shape[0] >= 3:
-        out[1] = s * (g[2] + kinv2 * g[0] - kcot * g[1])
-    return Spectrum(out, spec.k0 + s)
-
-
-# ---------------------------------------------------------------------------
+    c = doubled * g
+    lead, (n_k, n_theta) = c.shape[:-2], c.shape[-2:]
+    # [Re c_k, Im c_k] interleaved along k, against the cos / -sin rows of the table
+    coeffs = np.ascontiguousarray(np.swapaxes(c, -1, -2)).view(float).reshape(-1, 2 * n_k)
+    return (coeffs @ tables.trig).reshape(*lead, n_theta, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,12 +237,11 @@ class HusimiField:
     """Husimi function of a state sampled on a sphere grid.
 
     q, dq_dtheta and dq_dphi are real arrays of shape (n_theta, n_phi),
-    synthesized together from half: the Spectrum of Q over k = 0 ... 2J,
-    each component with two theta-derivatives, in one (3, 2J + 1, n_theta)
-    array.  spectral is the dense Spectrum over k = -2J ... 2J, mirrored
-    from half on first read.  It drives the exact differential-operator
-    actions, which sample their results with the tables the grid caches for
-    this spin.
+    synthesized together from half: the components g_k of Q for
+    k = 0 ... 2J, each with two theta-derivatives, in one complex
+    (3, 2J + 1, n_theta) array.  The dissipator fields are per-k
+    combinations of half, synthesized with the tables the grid caches for
+    this spin; the ladder actions are read pointwise from the derivatives.
     """
 
     j: SpinJ
@@ -330,13 +249,7 @@ class HusimiField:
     q: np.ndarray
     dq_dtheta: np.ndarray
     dq_dphi: np.ndarray
-    half: Spectrum
-
-    @functools.cached_property
-    def spectral(self) -> Spectrum:
-        """Dense Spectrum of Q over k = -2J ... 2J: g_{-k} = conj(g_k), since Q is real."""
-        g = self.half.g
-        return Spectrum(np.concatenate((np.conj(g[:, :0:-1]), g), axis=1), 1 - g.shape[1])
+    half: np.ndarray
 
 
 def husimi_field(rho: np.ndarray, grid: SphereGrid) -> HusimiField:
@@ -345,9 +258,8 @@ def husimi_field(rho: np.ndarray, grid: SphereGrid) -> HusimiField:
     j = SpinJ(rho.shape[0] - 1)
     tables = grid._spin_tables(j)
     half = _half_spectrum(rho, tables)
-    g = half.g
     # d_phi maps g_k to ik g_k
-    q, dq_dtheta, dq_dphi = _from_half(np.stack((g[0], g[1], 1j * np.arange(j.dim)[:, None] * g[0])), tables)
+    q, dq_dtheta, dq_dphi = _from_half(np.stack((half[0], half[1], 1j * np.arange(j.dim)[:, None] * half[0])), tables)
     return HusimiField(j=j, grid=grid, q=q, dq_dtheta=dq_dtheta, dq_dphi=dq_dphi, half=half)
 
 
@@ -368,14 +280,20 @@ def phase_space_jz(field: HusimiField) -> np.ndarray:
     return -1j * field.dq_dphi
 
 
+def _ladder(field: HusimiField, s: int) -> np.ndarray:
+    """j+ (s = 1) or j- (s = -1): s e^{i s phi} (d_theta + i s cot d_phi) Q on the grid."""
+    grid = field.grid
+    return s * np.exp(1j * s * grid.phi_nodes) * (field.dq_dtheta + 1j * s * grid.cot_theta[:, None] * field.dq_dphi)
+
+
 def phase_space_jplus(field: HusimiField) -> np.ndarray:
     """Differential j+ action e^{i phi}(d_theta + i cot d_phi) Q on the grid."""
-    return _evaluate(_ladder(field.spectral, field.grid, 1), field.grid._spin_tables(field.j))
+    return _ladder(field, 1)
 
 
 def phase_space_jminus(field: HusimiField) -> np.ndarray:
     """Differential j- action -e^{-i phi}(d_theta - i cot d_phi) Q on the grid."""
-    return _evaluate(_ladder(field.spectral, field.grid, -1), field.grid._spin_tables(field.j))
+    return _ladder(field, -1)
 
 
 def _checked_tables(field: HusimiField, j: SpinJ) -> _SpinTables:
@@ -387,35 +305,34 @@ def _checked_tables(field: HusimiField, j: SpinJ) -> _SpinTables:
 def dephasing_dissipator_field(field: HusimiField, lam: float, j: SpinJ) -> np.ndarray:
     """D(Q) of dephasing at rate lam through jz of spin j (see dissipator_field)."""
     tables = _checked_tables(field, j)
-    g = field.half.g[0]
-    return _from_half(-0.5 * lam * np.arange(j.dim)[:, None] ** 2 * g, tables)
+    return _from_half(-0.5 * lam * np.arange(j.dim)[:, None] ** 2 * field.half[0], tables)
 
 
 def damping_dissipator_field(field: HusimiField, gamma_bar: float, tau_bar_z: float, j: SpinJ) -> np.ndarray:
     """D(Q) of thermal ladder damping of spin j at any temperature (see dissipator_field)."""
     tables = _checked_tables(field, j)
-    grid = field.grid
-    drift = _scale_by_k(field.spectral, lambda k: -0.5 * tau_bar_z * (j.two_j - k))
-    drift = _shift_phi(_mul_theta(drift, grid.sin_theta, grid.cos_theta), +1)
-    pumped = _mul_theta(
-        _ladder(field.spectral, grid, 1), -0.5 * (1.0 + tau_bar_z * grid.cos_theta), 0.5 * tau_bar_z * grid.sin_theta
-    )
-    # D(Q) = Re(j- F), F = gamma_bar current
-    return gamma_bar * _real_part(_ladder(_add(drift, pumped), grid, -1), tables)
+    c, s, t, n = field.grid.cos_theta, field.grid.sin_theta, tau_bar_z, j.two_j
+    k2 = np.arange(j.dim)[:, None] ** 2
+    g, dg, d2g = field.half
+    d = (1.0 + t * c) * d2g + ((c + t) / s + (n - 2) * t * s) * dg + (2 * n * t * c - k2 * (c * (c + t) / s**2)) * g
+    return _from_half(0.5 * gamma_bar * d, tables)
 
 
 def dissipator_field(field: HusimiField, channel) -> np.ndarray:
     """Phase-space dissipator D(Q) of the channel, sampled on the field's grid.
 
-    Dephasing maps component k to -(lam/2) k^2 g_k.  Thermal damping is
-    D(Q) = (1/2)(j- F - j+ F*) = Re(j- F), since j+ F* = -(j- F)*, one
-    formula at every temperature:
+    Both forms keep each azimuthal order k and are one synthesis of a
+    per-k half spectrum.  Dephasing maps component k to -(lam/2) k^2 g_k.
+    Thermal damping is D(Q) = (1/2)(j- F - j+ F*) = Re(j- F), since
+    j+ F* = -(j- F)*, one formula at every temperature:
 
         F = gamma_bar [-tau_bar_z (2J Q - jz Q) e^{i phi} sin - (1 + tau_bar_z cos) j+ Q] / 2,
 
-    -(gamma_bar/4)(j- j+ + j+ j-) Q at tau_bar_z = 0.  Unitary and Davies
-    channels raise TypeError.  A field exists only on a grid at or above the
-    band limit n_theta >= 2J + 1, n_phi >= 4J + 1 (BandLimitError otherwise).
+    -(gamma_bar/4)(j- j+ + j+ j-) Q at tau_bar_z = 0, and expanded over the
+    k >= 0 components of Q it is the per-k d_k of the module docstring.
+    Unitary and Davies channels raise TypeError.  A field exists only on a
+    grid at or above the band limit n_theta >= 2J + 1, n_phi >= 4J + 1
+    (BandLimitError otherwise).
     """
     return channel.phase_space_dissipator(field)
 

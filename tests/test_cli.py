@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -406,6 +407,23 @@ def test_too_coarse_steps_are_a_named_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --steps: ") and "too coarse for this channel" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_steps_that_break_positivity_are_a_named_error(tmp_path, capsys):
+    # the one RK4 step stays finite but leaves an eigenvalue of -6.35, below every state check's floor
+    out = tmp_path / "p.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run([
+            "evolve", "--channel", "dephasing", "--lambda", "10", "--bloch", "1,0,0", "--tmax", "1", "--steps", "1",
+            "--grid", "16x16", "--out", out,
+        ])
+    assert code == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.startswith("error: --steps: minimum eigenvalue reached ") and "steps too coarse" in err
     assert len(err.splitlines()) == 1
     assert not out.exists()
 

@@ -54,14 +54,19 @@ def coherent_projector(j, theta, phi):
     return np.outer(vec, vec.conj())
 
 
-def brute_husimi(rho, j, grid):
-    """Direct <omega|rho|omega> evaluation, no spectral machinery."""
-    out = np.empty((grid.n_theta, grid.n_phi))
+def brute_expectation(op, j, grid):
+    """Direct complex <omega|op|omega> evaluation, no spectral machinery."""
+    out = np.empty((grid.n_theta, grid.n_phi), dtype=complex)
     for a, theta in enumerate(grid.theta_nodes):
         for b, phi in enumerate(grid.phi_nodes):
             vec = coherent_vector(j, theta, phi)
-            out[a, b] = np.real(vec.conj() @ rho @ vec)
+            out[a, b] = vec.conj() @ op @ vec
     return out
+
+
+def brute_husimi(rho, j, grid):
+    """Real part of brute_expectation, for the Hermitian rho and D[rho] whose fields are real."""
+    return brute_expectation(rho, j, grid).real
 
 
 def test_grid_weights_cover_the_sphere():
@@ -460,12 +465,27 @@ def test_dissipator_fields_match_matrix_dissipators_at_workload_spins(two_j):
         DephasingChannel(lam=1.3, ops=ops),
         AmplitudeDampingChannel(gamma=0.7, nbar=0.5, ops=ops),
         AmplitudeDampingChannel.infinite_temperature(0.9, ops),
+        AmplitudeDampingChannel(gamma=1.0, nbar=0.0, ops=ops),
     )
     for name, rho in sparse_and_random_states(np.random.default_rng(70 + two_j), j).items():
         field = husimi_field(rho, grid)
         for chan in channels:
             oracle = brute_husimi(dissipator(chan, rho), j, grid)
             assert np.abs(dissipator_field(field, chan) - oracle).max() < 1e-12, (name, chan)
+
+
+@pytest.mark.parametrize("two_j", WORKLOAD_SPINS)
+def test_ladder_actions_match_matrix_commutators_at_workload_spins(two_j):
+    # each differential action on Q is the Husimi transform <omega|[J, rho]|omega>, complex for J+ and J-
+    j = SpinJ(two_j)
+    ops = make_spin_operators(j)
+    grid = SphereGrid(20, 20)
+    actions = ((phase_space_jplus, ops.jplus), (phase_space_jminus, ops.jminus), (phase_space_jz, ops.jz))
+    for name, rho in sparse_and_random_states(np.random.default_rng(90 + two_j), j).items():
+        field = husimi_field(rho, grid)
+        for action, op in actions:
+            oracle = brute_expectation(op @ rho - rho @ op, j, grid)
+            assert np.abs(action(field) - oracle).max() < 1e-12, (name, action.__name__)
 
 
 def test_one_grid_serves_several_spins():
