@@ -45,6 +45,7 @@ from .errors import (
     StepCountError,
     SupportError,
     TemperatureDivergence,
+    UnreachableCoherence,
 )
 from .phase_space import SphereGrid, husimi_field, wehrl_entropy
 from .spins import (
@@ -152,7 +153,9 @@ def _row_format(row) -> str:
 def write_csv(path: str, metadata: dict, header: list, rows: list, notes: list) -> None:
     """CSV with '#' metadata lines, one header row, %.17e numbers, trailing warnings.
 
-    Every row has the cell kinds of the first; None and NaN cells read nan.
+    Every row has the cell kinds of the first, whose format string then
+    formats each row in one %.  None and NaN cells read nan; only a row that
+    holds a None is rebuilt to say so.
     """
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
@@ -162,7 +165,9 @@ def write_csv(path: str, metadata: dict, header: list, rows: list, notes: list) 
         fh.write(",".join(header) + "\n")
         if rows:
             fmt = _row_format(rows[0])
-            fh.writelines(fmt % tuple(math.nan if v is None else v for v in row) for row in rows)
+            fh.writelines(
+                fmt % (tuple(math.nan if v is None else v for v in row) if None in row else tuple(row)) for row in rows
+            )
         for note in notes:
             fh.write(f"# warning: {note}\n")
 
@@ -307,16 +312,19 @@ def _state_columns(j: SpinJ) -> list:
     return cols
 
 
-def _state_values(rho, j: SpinJ) -> list:
+def _state_table(states, j: SpinJ) -> np.ndarray:
+    """The _state_columns of every state in a stack: a qubit's Bloch vector, else the upper triangle.
+
+    The upper triangle is gathered in row-major order with each entry's
+    (re, im) pair interleaved, less the zero imaginary parts of the diagonal.
+    """
     if j.dim == 2:
-        return list(rho_to_bloch(rho))
-    vals = []
-    for i in range(j.dim):
-        for k in range(i, j.dim):
-            vals.append(rho[i, k].real)
-            if k > i:
-                vals.append(rho[i, k].imag)
-    return vals
+        return rho_to_bloch(states)
+    rows, cols = np.triu_indices(j.dim)
+    pairs = np.ascontiguousarray(states[:, rows, cols]).view(float)
+    keep = np.ones(pairs.shape[1], dtype=bool)
+    keep[2 * np.flatnonzero(rows == cols) + 1] = False
+    return pairs[:, keep]
 
 
 def cmd_evolve(args) -> int:
@@ -324,8 +332,8 @@ def cmd_evolve(args) -> int:
     grid = _grid_for(args.grid, j)
     rates = _build_channel(args, j)
     rho0 = _initial_state(args, j)
-    if args.tmax <= 0:
-        raise CliError("--tmax: must be > 0")
+    if not 0.0 < args.tmax < math.inf:
+        raise CliError(f"--tmax: must be finite and > 0, got {args.tmax}")
     with warnings.catch_warnings():
         warnings.simplefilter("error", PositivityWarning)
         try:
@@ -335,20 +343,24 @@ def cmd_evolve(args) -> int:
             raise CliError(f"--steps: {exc}") from None
     t_name, t_scale = rates.time
     is_qubit = j.dim == 2
+    # the columns that depend on the state alone, for the whole trajectory at once
+    state_table = _state_table(traj.states, j)
+    s_vn = von_neumann_entropy(traj.states).tolist()
+    c_l1 = l1_coherence(traj.states).tolist()
 
-    def row_for(t, rho):
+    def row_for(i):
+        rho = traj.states[i]
         field = husimi_field(rho, grid)
         report = rates.quad(field)
-        tau = rho_to_bloch(rho) if is_qubit else None
-        row = [t * t_scale, *_state_values(rho, j)]
-        row += [von_neumann_entropy(rho), wehrl_entropy(field), l1_coherence(rho), report.sigma_dot]
+        tau = state_table[i] if is_qubit else None
+        row = [traj.times[i] * t_scale, *state_table[i].tolist()]
+        row += [s_vn[i], wehrl_entropy(field), c_l1[i], report.sigma_dot]
         if is_qubit:
             row.append(rates.closed(tau))
         row += [rates.sigma_vn(rho, tau), report.phi_dot, len(report.warnings)]
         return row, report.warnings
 
-    tasks = [lambda t=t, rho=rho: row_for(t, rho) for t, rho in zip(traj.times, traj.states)]
-    rows, notes = _rows_and_notes(tasks)
+    rows, notes = _rows_and_notes([lambda i=i: row_for(i) for i in range(len(traj.states))])
 
     header = [t_name] + _state_columns(j) + ["s_vn", "s_q", "c_l1", "sigma_quad"]
     if is_qubit:
@@ -388,12 +400,9 @@ def _sweep_rows_qubit(rates: _Rates, grid: SphereGrid, tau_z: float, n_points: i
 
 
 def _sweep_rows_random(rates: _Rates, j: SpinJ, grid: SphereGrid, c_max, n_points, seed) -> tuple:
-    """Random-state sweep over l1-coherence targets for dimensions above 2."""
-
-    def row_for(target):
-        return _sweep_row(rates, grid, random_state_with_coherence(j.dim, float(target), seed), None, math.nan)
-
-    return _rows_and_notes([lambda c=c: row_for(c) for c in np.linspace(0.0, c_max, n_points)])
+    """Random-state sweep over l1-coherence targets for dimensions above 2, every state from one draw."""
+    states = random_state_with_coherence(j.dim, np.linspace(0.0, c_max, n_points), seed)
+    return _rows_and_notes([lambda rho=rho: _sweep_row(rates, grid, rho, None, math.nan) for rho in states])
 
 
 def cmd_sweep_coherence(args) -> int:
@@ -440,10 +449,7 @@ def _fig1(out_dir: str) -> None:
     rho0 = bloch_to_rho([0.0, 0.0, 1.0])
     closed = evolve(UnitaryChannel(hamiltonian=0.5 * omega0 * PAULI_X), rho0, 20.0, 2000)
     damped = evolve(AmplitudeDampingChannel(gamma=0.5, nbar=0.5, ops=ops), rho0, 20.0, 2000)
-    rows = [
-        [t, *tc, *td]
-        for t, tc, td in zip(closed.times, rho_to_bloch(closed.states), rho_to_bloch(damped.states))
-    ]
+    rows = np.column_stack((closed.times, rho_to_bloch(closed.states), rho_to_bloch(damped.states))).tolist()
     meta = {
         "command": "fig",
         "figure": 1,
@@ -548,7 +554,7 @@ def _fig4(out_dir: str) -> None:
     lam, gamma, nbar = 1.0, 0.5, 0.5
     bath = BathParams.from_nbar(gamma, nbar)
     n_steps = 250
-    states = [random_state_with_coherence(3, c, FIG4_SEED) for c in FIG4_COHERENCES]
+    states = random_state_with_coherence(3, FIG4_COHERENCES, FIG4_SEED)
     panels = (
         ("dephasing", _dephasing(lam, j)),
         ("damping", _damping(bath, j, {"gamma": repr(gamma), "nbar": repr(nbar), "gamma_bar": repr(bath.gamma_bar)})),
@@ -630,6 +636,9 @@ def main(argv=None) -> int:
         return 2
     except StepCountError as exc:
         print(f"error: --steps: {exc}", file=sys.stderr)
+        return 2
+    except UnreachableCoherence as exc:
+        print(f"error: --coherence: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,8 +38,9 @@ k; with c = cos(theta), s = sin(theta), t = tau_bar_z and n = 2J,
 
 Whatever depends only on J and the grid is built on first use and cached
 on the SphereGrid, keyed by 2J: the pair products a_r a_r' (r <= r') of the
-coherent amplitudes with their first and second theta-derivatives, and the
-cos/sin table over k = 0 ... 2J.  A state's half spectrum is then one
+coherent amplitudes with their first and second theta-derivatives, the
+cos/sin table over k = 0 ... 2J, and the per-k columns the synthesis and
+d_phi scale the components by.  A state's half spectrum is then one
 broadcast product of rho with the pair table, summed along the diagonals
 k = r' - r, and Q, dQ/dtheta and dQ/dphi come out of one real
 (3 n_theta x 2K) @ (2K x n_phi) product.
@@ -182,7 +183,9 @@ class _SpinTables:
     row-major order, so row r starts at starts[r] and runs over k = r' - r =
     0 ... 2J - r.  A state's k >= 0 components are rho[r, r'] times these
     summed over the rows.  trig rows 2k and 2k + 1 hold cos(k phi) and -sin(k phi)
-    on the phi nodes, k = 0 ... 2J.
+    on the phi nodes, k = 0 ... 2J.  The columns over k = 0 ... 2J are
+    doubled, the weights (1, 2, ..., 2) of c_k = 2 g_k, and ik, which maps
+    g_k to the components of d_phi.
     """
 
     pairs: np.ndarray
@@ -190,6 +193,8 @@ class _SpinTables:
     cols: np.ndarray
     starts: np.ndarray
     trig: np.ndarray
+    doubled: np.ndarray
+    ik: np.ndarray
 
 
 def _build_tables(j: SpinJ, grid: SphereGrid) -> _SpinTables:
@@ -204,9 +209,12 @@ def _build_tables(j: SpinJ, grid: SphereGrid) -> _SpinTables:
     ))
     angles = np.arange(j.dim)[:, None] * grid.phi_nodes[None, :]
     trig = np.stack((np.cos(angles), -np.sin(angles)), axis=1).reshape(2 * j.dim, grid.n_phi)
-    for table in (pairs, rows, cols, starts, trig):
+    doubled = np.full((j.dim, 1), 2.0)
+    doubled[0] = 1.0
+    ik = 1j * np.arange(j.dim)[:, None]
+    for table in (pairs, rows, cols, starts, trig, doubled, ik):
         table.flags.writeable = False
-    return _SpinTables(pairs=pairs, rows=rows, cols=cols, starts=starts, trig=trig)
+    return _SpinTables(pairs=pairs, rows=rows, cols=cols, starts=starts, trig=trig, doubled=doubled, ik=ik)
 
 
 def _half_spectrum(rho: np.ndarray, tables: _SpinTables) -> np.ndarray:
@@ -223,9 +231,7 @@ def _half_spectrum(rho: np.ndarray, tables: _SpinTables) -> np.ndarray:
 
 def _from_half(g: np.ndarray, tables: _SpinTables) -> np.ndarray:
     """Real field of a conjugate-symmetric spectrum from its k >= 0 half g of shape (..., 2J + 1, n_theta)."""
-    doubled = np.full((g.shape[-2], 1), 2.0)
-    doubled[0] = 1.0
-    c = doubled * g
+    c = tables.doubled * g
     lead, (n_k, n_theta) = c.shape[:-2], c.shape[-2:]
     # [Re c_k, Im c_k] interleaved along k, against the cos / -sin rows of the table
     coeffs = np.ascontiguousarray(np.swapaxes(c, -1, -2)).view(float).reshape(-1, 2 * n_k)
@@ -258,8 +264,7 @@ def husimi_field(rho: np.ndarray, grid: SphereGrid) -> HusimiField:
     j = SpinJ(rho.shape[0] - 1)
     tables = grid._spin_tables(j)
     half = _half_spectrum(rho, tables)
-    # d_phi maps g_k to ik g_k
-    q, dq_dtheta, dq_dphi = _from_half(np.stack((half[0], half[1], 1j * np.arange(j.dim)[:, None] * half[0])), tables)
+    q, dq_dtheta, dq_dphi = _from_half(np.stack((half[0], half[1], tables.ik * half[0])), tables)
     return HusimiField(j=j, grid=grid, q=q, dq_dtheta=dq_dtheta, dq_dphi=dq_dphi, half=half)
 
 

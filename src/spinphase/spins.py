@@ -178,10 +178,17 @@ def rho_to_bloch(rho: np.ndarray) -> np.ndarray:
     )
 
 
-def l1_coherence(rho: np.ndarray) -> float:
-    """Sum of the moduli of all off-diagonal entries."""
+def l1_coherence(rho: np.ndarray):
+    """Sum of the moduli of all off-diagonal entries, of one state or of each state in a (..., d, d) stack.
+
+    One state gives a float and a stack an array of shape (...); each
+    state's entries are summed in the same order either way, so a state's
+    value does not depend on the stack it sits in.
+    """
     rho = np.asarray(rho, dtype=complex)
-    return float(np.sum(np.abs(rho)) - np.sum(np.abs(np.diag(rho))))
+    lead = rho.shape[:-2]
+    total = np.abs(rho).reshape(*lead, -1).sum(axis=-1) - np.abs(np.diagonal(rho, axis1=-2, axis2=-1)).sum(axis=-1)
+    return total if lead else float(total)
 
 
 def figure_coherence_qubit(tau) -> float:
@@ -195,20 +202,28 @@ def figure_coherence_qubit(tau) -> float:
 
 
 def _spectrum(rho: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a state, with tiny negatives clipped to zero."""
+    """Eigenvalues of a state or a (..., d, d) stack, with tiny negatives clipped to zero."""
     vals = np.linalg.eigvalsh(rho)
     if float(vals.min()) < EIG_FLOOR:
         raise StateValidationError(f"negative eigenvalue {vals.min():.3e} in spectrum")
     return np.clip(vals, 0.0, None)
 
 
-def _entropy_of(p: np.ndarray) -> float:
-    p = p[p > 0.0]
-    return float(-np.sum(p * np.log(p)))
+def _entropy_of(p: np.ndarray):
+    """-sum p ln p along the last axis, with 0 ln 0 = 0; a float for one distribution."""
+    # ln 1 = 0 stands in at the zeros, so no term warns and every row sums d terms
+    total = -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)
+    return total if p.ndim > 1 else float(total)
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """S(rho) = -tr(rho ln rho), with 0 ln 0 = 0."""
+def von_neumann_entropy(rho: np.ndarray):
+    """S(rho) = -tr(rho ln rho), with 0 ln 0 = 0, of one state or of each state in a (..., d, d) stack.
+
+    One state gives a float and a stack an array of shape (...), from one
+    batched eigenvalue pass; a state's value does not depend on the stack
+    it sits in.  Raises StateValidationError when any eigenvalue lies below
+    the -1e-10 floor.
+    """
     return _entropy_of(_spectrum(np.asarray(rho, dtype=complex)))
 
 
@@ -298,28 +313,48 @@ def nonequilibrium_free_energy(rho: np.ndarray, hamiltonian: np.ndarray, tempera
     )
 
 
-def random_state_with_coherence(dim: int, target_c: float, seed: int, max_attempts: int = 200) -> np.ndarray:
-    """Draw a random state whose l1 coherence equals target_c to 1e-6.
+def random_state_with_coherence(dim: int, target_c, seed: int, max_attempts: int = 200) -> np.ndarray:
+    """Draw a random state whose l1 coherence equals target_c to 1e-6, or one per target of a 1-D array.
 
     The diagonal is sampled from a flat Dirichlet distribution and a random
     off-diagonal direction, normalized to unit l1 coherence, is scaled by
-    target_c; draws failing positivity are rejected and resampled.  For
+    the target; draws failing positivity are rejected and resampled.  For
     dim = 3 the off-diagonal entries are real.  The same seed always
     returns the same state.
 
-    Raises UnreachableCoherence when no positive state is found within
-    max_attempts draws.
+    A scalar target gives one (dim, dim) state, a 1-D array of n targets an
+    (n, dim, dim) stack.  The targets share one stream of attempts from
+    default_rng(seed): attempt i draws its populations, then its
+    off-diagonal entries if a positive target is still unserved, and each
+    target takes the first attempt its checks accept (target 0 the bare
+    populations of attempt 0).  So each state of a stack is bit for bit the
+    one a call with that target alone returns.
+
+    Raises UnreachableCoherence, naming the first target left unserved,
+    when a target finds no positive state within max_attempts draws.
     """
     if dim < 2:
         raise DimensionError(f"dim must be >= 2, got {dim}")
-    if not 0.0 <= target_c < math.inf:
-        raise ValueError(f"target coherence must be finite and >= 0, got {target_c}")
+    given = np.asarray(target_c)
+    if given.ndim > 1:
+        raise DimensionError(f"targets must be a scalar or a 1-D array, got shape {given.shape}")
+    given = given.reshape(-1)
+    targets = given.astype(float)
+    bad = ~((targets >= 0.0) & (targets < math.inf))
+    if bad.any():
+        raise ValueError(f"target coherence must be finite and >= 0, got {given[bad][0]}")
     rng = np.random.default_rng(seed)
     rows, cols = np.triu_indices(dim, 1)
+    states = np.empty((targets.size, dim, dim), dtype=complex)
+    pending = np.arange(targets.size)
     for _ in range(max_attempts):
-        pops = rng.dirichlet(np.ones(dim))
-        if target_c == 0.0:
-            return np.diag(pops.astype(complex))
+        base = np.diag(rng.dirichlet(np.ones(dim)).astype(complex))
+        # only attempt 0 finds zero targets pending, and serves them its bare populations
+        zero = targets[pending] == 0.0
+        states[pending[zero]] = base
+        pending = pending[~zero]
+        if not pending.size:
+            break
         # one draw per attempt, in the row-major order of the upper triangle; (re, im) pairs read as complex
         if dim == 3:
             entries = rng.normal(size=rows.size)
@@ -332,12 +367,16 @@ def random_state_with_coherence(dim: int, target_c: float, seed: int, max_attemp
         if weight == 0.0:
             continue
         direction /= weight
-        candidate = np.diag(pops) + target_c * direction
-        if abs(l1_coherence(candidate) - target_c) > 1e-6:
-            continue
-        if float(np.min(np.linalg.eigvalsh(candidate))) < 1e-12:
-            continue
-        return candidate
-    raise UnreachableCoherence(
-        f"no positive dim={dim} state with l1 coherence {target_c} found in {max_attempts} draws"
-    )
+        wanted = targets[pending]
+        candidates = base + wanted[:, None, None] * direction
+        ok = np.abs(l1_coherence(candidates) - wanted) <= 1e-6
+        ok[ok] = np.linalg.eigvalsh(candidates[ok]).min(axis=-1) >= 1e-12
+        states[pending[ok]] = candidates[ok]
+        pending = pending[~ok]
+        if not pending.size:
+            break
+    if pending.size:
+        raise UnreachableCoherence(
+            f"no positive dim={dim} state with l1 coherence {given[pending[0]]} found in {max_attempts} draws"
+        )
+    return states if np.ndim(target_c) else states[0]

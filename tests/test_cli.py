@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,7 +242,7 @@ def test_byte_identical_reruns(tmp_path):
             "--bloch", "0.4,0.2,0.1", "--tmax", "1.0", "--steps", "15", "--grid", "48x48"]
     assert run(args + ["--out", a]) == 0
     assert run(args + ["--out", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_deterministic_flag_changes_only_its_own_metadata(tmp_path):
@@ -250,8 +251,8 @@ def test_deterministic_flag_changes_only_its_own_metadata(tmp_path):
             "--bloch", "0.5,0,0.1", "--tmax", "1.0", "--steps", "10", "--grid", "32x32"]
     assert run(args + ["--out", a]) == 0
     assert run(args + ["--out", b, "--deterministic"]) == 0
-    lines_a = [l for l in open(a).read().splitlines() if not l.startswith("# deterministic")]
-    lines_b = [l for l in open(b).read().splitlines() if not l.startswith("# deterministic")]
+    lines_a = [l for l in Path(a).read_text().splitlines() if not l.startswith("# deterministic")]
+    lines_b = [l for l in Path(b).read_text().splitlines() if not l.startswith("# deterministic")]
     assert lines_a == lines_b
 
 
@@ -262,7 +263,7 @@ def test_thread_cap_does_not_change_output(tmp_path, monkeypatch):
     assert run(args + ["--out", a]) == 0
     monkeypatch.setenv("SPINPHASE_THREADS", "1")
     assert run(args + ["--out", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_fig_rejects_unknown_id(tmp_path, capsys):
@@ -467,3 +468,61 @@ def test_write_csv_formats_ints_non_finite_and_missing_cells(tmp_path):
         "-2.50000000000000000e-01,0,nan,-inf,nan\n"
         "# warning: floor note\n"
     )
+
+
+UNREACHABLE = ["--j", "1", "--seed", "1", "--coherence", "5", "--grid", "16x16"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-coherence", "--channel", "dephasing", "--lambda", "1", "--points", "3", *UNREACHABLE],
+        ["evolve", "--channel", "dephasing", "--lambda", "1", "--tmax", "0.1", "--steps", "2", *UNREACHABLE],
+    ],
+)
+def test_unreachable_coherence_is_a_named_error(tmp_path, capsys, argv):
+    out = tmp_path / "u.csv"
+    assert run(argv + ["--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: --coherence: no positive dim=3 state")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tmax", ["nan", "inf", "-1"])
+def test_tmax_must_be_finite_and_positive(tmp_path, capsys, tmax):
+    out = tmp_path / "t.csv"
+    assert run(evolve_args(out, ["--bloch", "0.5,0,0", "--tmax", tmax, "--steps", "2", "--grid", "16x16"])) == 2
+    assert capsys.readouterr().err.startswith("error: --tmax: must be finite and > 0")
+    assert not out.exists()
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_a_random_sweep_draws_its_states_in_one_call(tmp_path, monkeypatch):
+    from spinphase import cli
+
+    draws = _count_calls(monkeypatch, cli, "random_state_with_coherence")
+    assert run(["sweep-coherence", "--channel", "dephasing", "--lambda", "1", "--j", "1", "--seed", "4",
+                "--coherence", "0.8", "--points", "4", "--grid", "16x16", "--out", tmp_path / "s.csv"]) == 0
+    assert len(draws) == 1
+
+
+def test_evolve_takes_state_only_columns_from_the_trajectory_stack(tmp_path, monkeypatch):
+    from spinphase import cli
+
+    entropies = _count_calls(monkeypatch, cli, "von_neumann_entropy")
+    coherences = _count_calls(monkeypatch, cli, "l1_coherence")
+    assert run(["evolve", "--channel", "dephasing", "--lambda", "1", "--j", "1", "--seed", "3", "--coherence", "0.4",
+                "--tmax", "0.1", "--steps", "2", "--grid", "16x16", "--out", tmp_path / "e.csv"]) == 0
+    assert len(entropies) == 1 and len(coherences) == 1
+    _, _, rows, _ = load_csv(tmp_path / "e.csv")
+    assert len(rows) == 3

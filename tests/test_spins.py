@@ -299,3 +299,59 @@ def test_random_state_draws_match_the_scalar_loop_bit_for_bit():
                     continue
                 got = random_state_with_coherence(dim, target, seed, max_attempts=20)
                 assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), (dim, seed, target)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 9])
+def test_array_targets_match_per_target_calls_bit_for_bit(dim):
+    targets = np.linspace(0.0, 1.2, 51)
+    rejected = 0
+    for seed in range(3):
+        stack = random_state_with_coherence(dim, targets, seed)
+        assert stack.shape == (targets.size, dim, dim)
+        for target, got in zip(targets, stack):
+            expected = random_state_with_coherence(dim, float(target), seed)
+            assert got.tobytes() == expected.tobytes(), (seed, target)
+        # a state whose populations are not attempt 0's came after rejected draws
+        first = np.random.default_rng(seed).dirichlet(np.ones(dim))
+        rejected += sum(not np.array_equal(np.diag(rho).real, first) for rho in stack)
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("dim", [3, 4, 9])
+def test_array_targets_raise_the_per_call_error_for_an_unreachable_target(dim):
+    with pytest.raises(UnreachableCoherence) as single:
+        random_state_with_coherence(dim, 5.0, 1)
+    with pytest.raises(UnreachableCoherence) as stacked:
+        random_state_with_coherence(dim, np.append(np.linspace(0.0, 1.2, 51), 5.0), 1)
+    assert str(stacked.value) == str(single.value)
+
+
+def test_array_targets_are_checked_like_a_scalar():
+    with pytest.raises(ValueError, match="got nan"):
+        random_state_with_coherence(3, np.array([0.2, math.nan]), 1)
+    with pytest.raises(DimensionError):
+        random_state_with_coherence(3, np.zeros((2, 2)), 1)
+
+
+def _assorted_states(dim, count, seed):
+    """Random states of every rank from 1 (pure) to dim, in turn."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for k in range(count):
+        a = rng.normal(size=(dim, 1 + k % dim)) + 1j * rng.normal(size=(dim, 1 + k % dim))
+        rho = a @ a.conj().T
+        states.append(0.5 * (rho + rho.conj().T) / np.trace(rho).real)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 9])
+def test_entropy_and_coherence_of_a_stack_equal_the_per_state_values(dim):
+    stack = _assorted_states(dim, 2 * dim, seed=dim)
+    for f in (von_neumann_entropy, l1_coherence):
+        loop = np.array([f(rho) for rho in stack])
+        assert all(isinstance(f(rho), float) for rho in stack[:2])
+        np.testing.assert_array_equal(f(stack), loop)
+        np.testing.assert_array_equal(f(stack.reshape(2, dim, dim, dim)), loop.reshape(2, dim))
+    pure = stack[0]
+    assert np.linalg.matrix_rank(pure) == 1
+    assert von_neumann_entropy(pure) == pytest.approx(0.0, abs=1e-12)
