@@ -17,7 +17,6 @@ from spinphase import (
     coherent_amplitudes,
     husimi_field,
     husimi_q,
-    integrate,
     wehrl_entropy,
 )
 
@@ -65,7 +64,7 @@ for two_j in (1, 2, 4):
     rho = a @ a.conj().T
     rho /= np.trace(rho).real
     field = husimi_field(rho, grid)
-    total = (two_j + 1) / (4 * math.pi) * integrate(grid, field.q)
+    total = (two_j + 1) / (4 * math.pi) * grid.integrate(field.q)
     print(f"2J = {two_j}:  (2J+1)/(4 pi) * integral Q = {total:.14f}")
 print()
 

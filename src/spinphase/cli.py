@@ -34,7 +34,6 @@ from .entropy_production import (
     ep_vn_general,
     ep_vn_qubit_damping,
     ep_vn_qubit_dephasing,
-    sigma_damping_quad,
     vn_rate_dephasing,
 )
 from .errors import (
@@ -175,18 +174,16 @@ def write_csv(path: str, metadata: dict, header: list, rows: list, notes: list) 
 class _Rates(NamedTuple):
     """A channel with its rates bound: the one place the CLI tells channel kinds apart.
 
-    quad(field) is the quadrature EpReport and sigma(field) the quadrature
-    production rate alone (sigma_dot and warnings, without dS/dt),
-    closed(tau) the qubit closed form, vn(rho, tau) the von Neumann rate
-    (its qubit closed form when tau is given), time the scaled-time column
-    (name, scale) and meta the rate metadata.  The bound functions look the library functions up as module
+    quad(field) is the quadrature EpReport, closed(tau) the qubit closed
+    form, vn(rho, tau) the von Neumann rate (its qubit closed form when tau
+    is given), time the scaled-time column (name, scale) and meta the rate
+    metadata.  The bound functions look the library functions up as module
     globals when they run, so whatever is bound to those names then (the
     benchmark's tracer, say) sees every call.
     """
 
     channel: object
     quad: Callable
-    sigma: Callable
     closed: Callable
     vn: Callable
     time: tuple
@@ -208,13 +205,9 @@ def _dephasing(lam: float, j: SpinJ) -> _Rates:
             return ep_vn_qubit_dephasing(tau, lam)
         return vn_rate_dephasing(rho, lam, channel.ops)
 
-    def quad(field):
-        return ep_rate_dephasing_quad(field, lam, j)
-
     return _Rates(
         channel=channel,
-        quad=quad,
-        sigma=quad,
+        quad=lambda field: ep_rate_dephasing_quad(field, lam, j),
         closed=lambda tau: ep_qubit_dephasing_closed(tau, lam),
         vn=vn,
         time=("lambda_t", lam) if lam > 0 else ("t", 1.0),
@@ -234,7 +227,6 @@ def _damping(bath: BathParams, j: SpinJ, meta: dict) -> _Rates:
     return _Rates(
         channel=channel,
         quad=lambda field: ep_rate_damping_quad(field, bath, j),
-        sigma=lambda field: sigma_damping_quad(field, bath, j),
         closed=lambda tau: ep_qubit_damping_closed(tau, bath),
         vn=vn,
         time=("gamma_bar_t", bath.gamma_bar) if bath.gamma_bar > 0 else ("t", 1.0),
@@ -384,7 +376,7 @@ SWEEP_HEADER = ["coherence_fig", "coherence_l1", "sigma_wehrl", "sigma_vn"]
 
 
 def _sweep_row(rates: _Rates, grid: SphereGrid, rho, tau, coherence_fig: float) -> tuple:
-    report = rates.sigma(husimi_field(rho, grid))
+    report = rates.quad(husimi_field(rho, grid))
     return [coherence_fig, l1_coherence(rho), report.sigma_dot, rates.sigma_vn(rho, tau)], report.warnings
 
 
@@ -491,7 +483,7 @@ def _fig2(out_dir: str) -> None:
 
 def _curve_row(rates: _Rates, grid: SphereGrid, t: float, states) -> tuple:
     """Row [t, sigma of each state] of a figure's rate curves, with its floor notes."""
-    reports = [rates.sigma(husimi_field(rho, grid)) for rho in states]
+    reports = [rates.quad(husimi_field(rho, grid)) for rho in states]
     return [t] + [r.sigma_dot for r in reports], [note for r in reports for note in r.warnings]
 
 

@@ -1,32 +1,28 @@
 """Entropy production and flux rates along three routes.
 
 The phase-space (Wehrl) route integrates Husimi-field currents over the
-sphere; closed forms specialize it to the qubit; the von Neumann route
-differentiates S(rho || rho_eq).  The two routes bound each other but are
-genuinely different functionals, which is the point of keeping both.
+sphere and splits the Wehrl entropy rate into production and flux,
+dS/dt = sigma - phi: sigma integrates the squared currents over Q, and the
+damping flux, linear in Q, reads the state's populations alone.  Closed
+forms specialize it to the qubit; the von Neumann route differentiates
+S(rho || rho_eq).  The two routes bound each other but are genuinely
+different functionals, which is the point of keeping both.
 """
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import BathParams, check_dephasing_rate, dephasing_dissipator
+from .dynamics import BathParams, check_dephasing_rate, damping_stationary_state, dephasing_dissipator
 from .dynamics import apply_liouvillian  # noqa: F401  (bench/tracer.py wraps this name)
-from .errors import (
-    BlochNormError,
-    DimensionError,
-    PurityDivergence,
-    QFloorWarning,
-    SupportError,
-    TemperatureDivergence,
-)
-from .phase_space import FLOOR_NOTE, HusimiField, floored_integral, wehrl_rate_dissipative
-from .spins import SpinJ, density_eigh, make_spin_operators
+from .errors import DimensionError, PurityDivergence, SupportError, TemperatureDivergence
+from .phase_space import FLOOR_NOTE, HusimiField, damping_flux, floored_integral
+from .phase_space import wehrl_rate_dissipative  # noqa: F401  (bench/tracer.py wraps this name)
+from .spins import SpinJ, check_bloch_vector, density_eigh
 from .spins import check_density_matrix  # noqa: F401  (bench/tracer.py wraps this name)
+from .spins import make_spin_operators  # noqa: F401  (bench/tracer.py wraps this name)
 
 # below the cut the direct forms lose ~eps/x^2 to cancellation; the series
 # truncation error there is ~2 x^8 / 99, so both branches hold ~1e-12
@@ -44,13 +40,6 @@ class EpReport:
     phi_dot: float
     ds_dt: float
     route: str
-    warnings: tuple = ()
-
-
-class QuadSigma(NamedTuple):
-    """Quadrature entropy production rate alone, with the floor notes of its integral."""
-
-    sigma_dot: float
     warnings: tuple = ()
 
 
@@ -75,12 +64,8 @@ def _atanh_over(x: float) -> float:
 
 
 def _bloch_parts(tau):
-    tau = np.asarray(tau, dtype=float)
-    if tau.shape != (3,):
-        raise DimensionError(f"Bloch vector must have 3 components, got shape {tau.shape}")
-    norm = float(np.linalg.norm(tau))
-    if norm > 1.0 + 1e-12:
-        raise BlochNormError(f"Bloch norm {norm:.15g} exceeds 1")
+    """(norm clipped to 1, tau_x^2 + tau_y^2, tau_z) of a Bloch vector that check_bloch_vector accepts."""
+    tau, norm = check_bloch_vector(tau)
     return min(norm, 1.0), float(tau[0] ** 2 + tau[1] ** 2), float(tau[2])
 
 
@@ -171,17 +156,21 @@ def ep_rate_dephasing_quad(field: HusimiField, lam: float, j: SpinJ) -> EpReport
     return EpReport(sigma_dot=sigma, phi_dot=0.0, ds_dt=sigma, route="quadrature", warnings=notes)
 
 
-def sigma_damping_quad(field: HusimiField, bath: BathParams, j: SpinJ) -> QuadSigma:
-    """Quadrature entropy production rate for thermal damping, without the flux.
+def ep_rate_damping_quad(field: HusimiField, bath: BathParams, j: SpinJ) -> EpReport:
+    """Quadrature entropy production and flux rates for thermal damping.
 
-    One formula in (gamma_bar, tau_bar_z) at every temperature, with the
-    drift current D = tau_bar_z 2J Q sin + (1 + tau_bar_z cos) d_theta Q:
+    One formula each in (gamma_bar, tau_bar_z) at every temperature, with
+    the drift current D = tau_bar_z 2J Q sin + (1 + tau_bar_z cos) d_theta Q:
 
         sigma = (gamma_bar/2)(2J+1)/(4 pi) integral of
-                [D^2 / (1 + tau_bar_z cos) + (d_phi Q)^2 (cos + tau_bar_z) cos / sin^2] / Q.
+                [D^2 / (1 + tau_bar_z cos) + (d_phi Q)^2 (cos + tau_bar_z) cos / sin^2] / Q,
+        phi = (gamma_bar/4)(2J+1) sum_m f_m (p_m - p_m^eq),  f_m = sum_i W_i w(theta_i) a_m(theta_i)^2,
+        w = (2J tau_bar_z)^2 sin^2 / (1 + tau_bar_z cos) - 4J tau_bar_z cos,
 
-    The field's grid is at or above the band limit n_theta >= 2J + 1,
-    n_phi >= 4J + 1 (BandLimitError when the first field is built).
+    the flux summed over the grid's Gauss-Legendre theta nodes and weights
+    W_i, p the populations and p^eq the diagonal of damping_stationary_state.
+    dS/dt := sigma - phi, so no D(Q) is synthesized (wehrl_rate_dissipative
+    computes it independently).  The grid is at or above the band limit.
     """
     if j != field.j:
         raise DimensionError("spin does not match field")
@@ -195,20 +184,10 @@ def sigma_damping_quad(field: HusimiField, bath: BathParams, j: SpinJ) -> QuadSi
     drift = (tb * j.two_j * sin_t) * field.q + relax * field.dq_dtheta
     numerator = drift**2 / relax + field.dq_dphi**2 * ((cos_t + tb) * cos_t / sin_t**2)
     value, notes = _masked_log_quadrature(field, numerator, "damping rate")
-    return QuadSigma(0.5 * bath.gamma_bar * pref * value, notes)
-
-
-def ep_rate_damping_quad(field: HusimiField, bath: BathParams, j: SpinJ) -> EpReport:
-    """Quadrature entropy production and flux rates for thermal damping.
-
-    sigma is sigma_damping_quad's; the flux rate is defined through the
-    balance with the dissipative Wehrl rate, phi = sigma - dS/dt.
-    """
-    sigma, notes = sigma_damping_quad(field, bath, j)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", QFloorWarning)
-        ds_dt = wehrl_rate_dissipative(field, bath.channel(make_spin_operators(j)))
-    return EpReport(sigma_dot=sigma, phi_dot=sigma - ds_dt, ds_dt=ds_dt, route="quadrature", warnings=notes)
+    sigma = 0.5 * bath.gamma_bar * pref * value
+    p_eq = damping_stationary_state(j, bath.nbar).diagonal().real
+    phi = damping_flux(field, bath.gamma_bar, tb, p_eq)
+    return EpReport(sigma_dot=sigma, phi_dot=phi, ds_dt=sigma - phi, route="quadrature", warnings=notes)
 
 
 def _log_full_rank(rho: np.ndarray, label: str) -> tuple:

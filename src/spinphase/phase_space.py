@@ -119,11 +119,6 @@ class SphereGrid:
         return float(np.sum(values * self.weights_2d).real)
 
 
-def integrate(grid: SphereGrid, values: np.ndarray) -> float:
-    """Sphere integral of grid-sampled values (sum over the fixed node order)."""
-    return grid.integrate(values)
-
-
 def _amplitude_table(j: SpinJ, thetas: np.ndarray, orders: int = 3) -> np.ndarray:
     """Coherent-state amplitudes a_m(theta) and theta-derivatives.
 
@@ -248,6 +243,8 @@ class HusimiField:
     (3, 2J + 1, n_theta) array.  The dissipator fields are per-k
     combinations of half, synthesized with the tables the grid caches for
     this spin; the ladder actions are read pointwise from the derivatives.
+    populations is the real diagonal p_m of the state, m = J ... -J, which
+    fixes the azimuthal average sum_m p_m a_m^2 of Q.
     """
 
     j: SpinJ
@@ -256,6 +253,7 @@ class HusimiField:
     dq_dtheta: np.ndarray
     dq_dphi: np.ndarray
     half: np.ndarray
+    populations: np.ndarray
 
 
 def husimi_field(rho: np.ndarray, grid: SphereGrid) -> HusimiField:
@@ -265,7 +263,9 @@ def husimi_field(rho: np.ndarray, grid: SphereGrid) -> HusimiField:
     tables = grid._spin_tables(j)
     half = _half_spectrum(rho, tables)
     q, dq_dtheta, dq_dphi = _from_half(np.stack((half[0], half[1], tables.ik * half[0])), tables)
-    return HusimiField(j=j, grid=grid, q=q, dq_dtheta=dq_dtheta, dq_dphi=dq_dphi, half=half)
+    return HusimiField(
+        j=j, grid=grid, q=q, dq_dtheta=dq_dtheta, dq_dphi=dq_dphi, half=half, populations=rho.diagonal().real.copy()
+    )
 
 
 def husimi_q(rho: np.ndarray, omega: SolidAngle) -> float:
@@ -321,6 +321,23 @@ def damping_dissipator_field(field: HusimiField, gamma_bar: float, tau_bar_z: fl
     g, dg, d2g = field.half
     d = (1.0 + t * c) * d2g + ((c + t) / s + (n - 2) * t * s) * dg + (2 * n * t * c - k2 * (c * (c + t) / s**2)) * g
     return _from_half(0.5 * gamma_bar * d, tables)
+
+
+def damping_flux(field: HusimiField, gamma_bar: float, tau_bar_z: float, populations_eq: np.ndarray) -> float:
+    """Wehrl flux rate of thermal ladder damping, read from the populations alone (see ep_rate_damping_quad).
+
+    Integrating the drift terms of sigma by parts leaves
+    (gamma_bar/2)(2J+1)/(4 pi) times the integral of w(theta) Q, so only the
+    azimuthal average sum_m p_m a_m^2 of Q enters.  Written against the
+    stationary populations populations_eq, it is exactly 0.0 on that state.
+    """
+    grid = field.grid
+    tables = grid._spin_tables(field.j)
+    c, s, t, n = grid.cos_theta, grid.sin_theta, tau_bar_z, field.j.two_j
+    w = (n * t) ** 2 * s**2 / (1.0 + t * c) - 2 * n * t * c
+    # the diagonal pairs (r, r) hold a_m^2 for m = J - r
+    f = tables.pairs[0, tables.starts] @ (grid.theta_weights * w)
+    return 0.25 * gamma_bar * (n + 1) * float(f @ (field.populations - populations_eq))
 
 
 def dissipator_field(field: HusimiField, channel) -> np.ndarray:

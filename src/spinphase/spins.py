@@ -146,8 +146,8 @@ def density_eigh(rho: np.ndarray) -> tuple:
     return _validated(rho, with_vectors=True)
 
 
-def bloch_to_rho(tau) -> np.ndarray:
-    """Qubit state (1 + tau . sigma) / 2 from a finite Bloch vector of norm <= 1."""
+def check_bloch_vector(tau) -> tuple:
+    """(tau as floats, its norm) of 3 finite components of norm <= 1 + 1e-12, else DimensionError or BlochNormError."""
     tau = np.asarray(tau, dtype=float)
     if tau.shape != (3,):
         raise DimensionError(f"Bloch vector must have 3 components, got shape {tau.shape}")
@@ -156,6 +156,12 @@ def bloch_to_rho(tau) -> np.ndarray:
     norm = float(np.linalg.norm(tau))
     if norm > 1.0 + 1e-12:
         raise BlochNormError(f"Bloch norm {norm:.15g} exceeds 1")
+    return tau, norm
+
+
+def bloch_to_rho(tau) -> np.ndarray:
+    """Qubit state (1 + tau . sigma) / 2 from a finite Bloch vector of norm <= 1."""
+    tau = check_bloch_vector(tau)[0]
     rho = 0.5 * (np.eye(2, dtype=complex) + tau[0] * PAULI_X + tau[1] * PAULI_Y + tau[2] * PAULI_Z)
     return rho
 

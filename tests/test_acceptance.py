@@ -35,7 +35,6 @@ from spinphase import (
     evolve,
     husimi_field,
     husimi_q,
-    integrate,
     make_spin_operators,
     pauli_rates_from_davies,
     quantum_relative_entropy,
@@ -273,7 +272,7 @@ def test_criterion_11_husimi_core_guarantees():
         pref = (two_j + 1.0) / (4.0 * math.pi)
         for _ in range(17):
             field = husimi_field(random_rho(rng, j.dim), grid)
-            worst_norm = max(worst_norm, abs(pref * integrate(grid, field.q) - 1.0))
+            worst_norm = max(worst_norm, abs(pref * grid.integrate(field.q) - 1.0))
     assert worst_norm < 1e-10
 
     # coherent amplitudes against the rotation matrix exponential

@@ -430,27 +430,36 @@ def test_steps_that_break_positivity_are_a_named_error(tmp_path, capsys):
 
 
 def test_sweeps_and_fig2_compute_no_wehrl_rate(tmp_path, monkeypatch):
-    # dS/dt feeds only evolve's phi_dot column; sweeps and figures write sigma alone
+    # the quadrature flux reads the populations, so no command synthesizes D(Q) or integrates D(Q) ln Q;
+    # dS/dt is sigma - phi_dot, evolve's phi_dot column included
     from spinphase import entropy_production, phase_space
 
     calls = []
-    real = phase_space.wehrl_rate_dissipative
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(entropy_production, "wehrl_rate_dissipative", counting)
-    monkeypatch.setattr(phase_space, "wehrl_rate_dissipative", counting)
-    damping = ["--channel", "damping", "--gamma", "1", "--nbar", "0.5", "--grid", "32x32", "--points", "4"]
-    assert run(["sweep-coherence", *damping, "--bloch", "0,0,0.2", "--out", tmp_path / "q.csv"]) == 0
-    assert run(["sweep-coherence", *damping, "--j", "1", "--seed", "2", "--coherence", "0.5",
+        return wrapper
+
+    for name in ("wehrl_rate_dissipative", "dissipator_field"):
+        monkeypatch.setattr(phase_space, name, counting(getattr(phase_space, name)))
+    monkeypatch.setattr(entropy_production, "wehrl_rate_dissipative", phase_space.wehrl_rate_dissipative)
+    damping = ["--channel", "damping", "--gamma", "1", "--nbar", "0.5", "--grid", "32x32"]
+    assert run(["sweep-coherence", *damping, "--points", "4", "--bloch", "0,0,0.2", "--out", tmp_path / "q.csv"]) == 0
+    assert run(["sweep-coherence", *damping, "--points", "4", "--j", "1", "--seed", "2", "--coherence", "0.5",
                 "--out", tmp_path / "s.csv"]) == 0
     assert run(["fig", "--id", "2", "--out", tmp_path]) == 0
+    assert run(["evolve", *damping, "--bloch", "0.3,0,0.1", "--tmax", "0.1", "--steps", "2",
+                "--out", tmp_path / "e.csv"]) == 0
+    assert run(["evolve", *damping, "--j", "2", "--seed", "2", "--coherence", "0.5", "--tmax", "0.1", "--steps", "2",
+                "--out", tmp_path / "e2.csv"]) == 0
     assert calls == []
-    assert run(["evolve", "--channel", "damping", "--gamma", "1", "--nbar", "0.5", "--bloch", "0.3,0,0.1",
-                "--grid", "32x32", "--tmax", "0.1", "--steps", "2", "--out", tmp_path / "e.csv"]) == 0
-    assert len(calls) == 3
+    # the evolve rows still carry a finite, nonzero flux
+    _, header, rows, _ = load_csv(tmp_path / "e2.csv")
+    phi = column(header, rows, "phi_dot")
+    assert len(phi) == 3 and all(math.isfinite(x) for x in phi) and any(x != 0.0 for x in phi)
 
 
 def test_write_csv_formats_ints_non_finite_and_missing_cells(tmp_path):

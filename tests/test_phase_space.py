@@ -24,7 +24,6 @@ from spinphase import (
     dissipator_field,
     husimi_field,
     husimi_q,
-    integrate,
     make_spin_operators,
     phase_space_jminus,
     phase_space_jplus,
@@ -71,9 +70,9 @@ def brute_husimi(rho, j, grid):
 
 def test_grid_weights_cover_the_sphere():
     grid = SphereGrid(24, 24)
-    assert integrate(grid, np.ones((24, 24))) == pytest.approx(4.0 * math.pi, abs=1e-12)
+    assert grid.integrate(np.ones((24, 24))) == pytest.approx(4.0 * math.pi, abs=1e-12)
     cos2 = np.broadcast_to(np.cos(grid.theta_nodes)[:, None] ** 2, (24, 24))
-    assert integrate(grid, cos2) == pytest.approx(4.0 * math.pi / 3.0, abs=1e-12)
+    assert grid.integrate(cos2) == pytest.approx(4.0 * math.pi / 3.0, abs=1e-12)
     # open grid: Gauss nodes exclude both poles, uniform phis exclude 2 pi
     assert grid.theta_nodes.min() > 0.0 and grid.theta_nodes.max() < math.pi
 
@@ -85,7 +84,7 @@ def test_grid_guards():
         SphereGrid(16, 3)
     grid = SphereGrid(16, 16)
     with pytest.raises(DimensionError):
-        integrate(grid, np.ones((8, 8)))
+        grid.integrate(np.ones((8, 8)))
 
 
 def test_coherent_amplitudes_poles_and_equator():
@@ -179,7 +178,7 @@ def test_husimi_normalization():
         pref = (two_j + 1.0) / (4.0 * math.pi)
         for _ in range(10):
             field = husimi_field(random_rho(rng, j.dim), grid)
-            assert abs(pref * integrate(grid, field.q) - 1.0) < 1e-10
+            assert abs(pref * grid.integrate(field.q) - 1.0) < 1e-10
 
 
 def test_husimi_field_derivatives_match_finite_differences():
@@ -311,7 +310,7 @@ def test_dissipator_field_integrates_to_zero():
     ):
         for _ in range(5):
             field = husimi_field(random_rho(rng, 3), grid)
-            assert abs(integrate(grid, dissipator_field(field, chan))) < 1e-9
+            assert abs(grid.integrate(dissipator_field(field, chan))) < 1e-9
 
 
 def test_wehrl_entropy_reference_values():
@@ -546,8 +545,9 @@ def test_grid_below_the_band_limit_is_rejected(two_j):
             husimi_field(rho, coarse)
     # at the limit Q^2 integrates exactly
     at_limit = SphereGrid(n_theta, n_phi)
-    exact = integrate(SphereGrid(64, 64), husimi_field(rho, SphereGrid(64, 64)).q ** 2)
-    assert abs(integrate(at_limit, husimi_field(rho, at_limit).q ** 2) - exact) < 1e-13
+    fine = SphereGrid(64, 64)
+    exact = fine.integrate(husimi_field(rho, fine).q ** 2)
+    assert abs(at_limit.integrate(husimi_field(rho, at_limit).q ** 2) - exact) < 1e-13
     # a grid that rejects one spin still serves the spins it resolves
     with pytest.raises(BandLimitError):
         husimi_field(np.eye(2 * two_j + 1) / (2 * two_j + 1), at_limit)
