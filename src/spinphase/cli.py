@@ -78,7 +78,7 @@ def _parse_j(text: str) -> SpinJ:
         if abs(2.0 * value - two_j) > 1e-9 or two_j < 1:
             raise ValueError
         return SpinJ(two_j)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise CliError(f"--j: expected a positive integer or half-integer, got {text!r}") from None
 
 

@@ -428,15 +428,23 @@ def qubit_damping_bloch(tau0, gamma: float, nbar: float, t) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def damping_stationary_populations(j: SpinJ, nbar: float) -> np.ndarray:
+    """Stationary populations p_m, m = J ... -J, of the ladder damping channel: ratio nbar / (nbar + 1) per rung.
+
+    Read-only and computed once per (spin, nbar), since every state of a
+    damping run compares its populations with them.
+    """
+    # population proportional to x^m with x = nbar / (nbar + 1), ground rung m = -J dominating for x < 1
+    weights = np.ones(j.dim) if math.isinf(nbar) else (nbar / (nbar + 1.0)) ** (j.m_values + j.j)
+    populations = weights / weights.sum()
+    populations.flags.writeable = False
+    return populations
+
+
 def damping_stationary_state(j: SpinJ, nbar: float) -> np.ndarray:
-    """Stationary state of the ladder damping channel: populations with ratio nbar / (nbar + 1) per rung."""
-    if math.isinf(nbar):
-        return np.eye(j.dim, dtype=complex) / j.dim
-    x = nbar / (nbar + 1.0)
-    # population proportional to x^m, ground rung m = -J dominating for x < 1
-    weights = x ** (j.m_values + j.j)
-    weights = weights / weights.sum()
-    return np.diag(weights.astype(complex))
+    """Stationary state of the ladder damping channel: diagonal, with damping_stationary_populations."""
+    return np.diag(damping_stationary_populations(j, nbar).astype(complex))
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import BathParams, check_dephasing_rate, damping_stationary_state, dephasing_dissipator
+from .dynamics import BathParams, check_dephasing_rate, damping_stationary_populations, dephasing_dissipator
 from .dynamics import apply_liouvillian  # noqa: F401  (bench/tracer.py wraps this name)
 from .errors import DimensionError, PurityDivergence, SupportError, TemperatureDivergence
-from .phase_space import FLOOR_NOTE, HusimiField, damping_flux, floored_integral
+from .phase_space import FLOOR_NOTE, HusimiField, damping_flux, floor_mask
 from .phase_space import wehrl_rate_dissipative  # noqa: F401  (bench/tracer.py wraps this name)
 from .spins import SpinJ, check_bloch_vector, density_eigh
 from .spins import check_density_matrix  # noqa: F401  (bench/tracer.py wraps this name)
@@ -134,10 +134,15 @@ def ep_vn_qubit_damping(tau, bath: BathParams) -> float:
     )
 
 
-def _masked_log_quadrature(field: HusimiField, numerator: np.ndarray, context: str):
-    """Integrate numerator / q with the Husimi floor applied; returns (value, warnings)."""
-    value, excluded = floored_integral(field, np.divide, numerator, context)
-    return value, (FLOOR_NOTE.format(context, excluded),) if excluded else ()
+def _squares_over_q(field: HusimiField, currents: tuple, context: str):
+    """Per theta row, the phi sums of x^2 / Q for each current x, with the Husimi floor applied; and the warnings."""
+    mask, excluded = floor_mask(field, context)
+    q = field.q
+    sums = [
+        np.einsum("ij,ij->i", x, x / q if mask is None else np.divide(x, q, out=np.zeros_like(q), where=mask))
+        for x in currents
+    ]
+    return sums, (FLOOR_NOTE.format(context, excluded),) if excluded else ()
 
 
 def ep_rate_dephasing_quad(field: HusimiField, lam: float, j: SpinJ) -> EpReport:
@@ -150,9 +155,8 @@ def ep_rate_dephasing_quad(field: HusimiField, lam: float, j: SpinJ) -> EpReport
     if j != field.j:
         raise DimensionError("spin does not match field")
     pref = (j.two_j + 1) / (4.0 * np.pi)
-    numerator = field.dq_dphi**2
-    value, notes = _masked_log_quadrature(field, numerator, "dephasing rate")
-    sigma = 0.5 * lam * pref * value
+    (rows,), notes = _squares_over_q(field, (field.dq_dphi,), "dephasing rate")
+    sigma = 0.5 * lam * pref * field.grid.integrate_rows(rows)
     return EpReport(sigma_dot=sigma, phi_dot=0.0, ds_dt=sigma, route="quadrature", warnings=notes)
 
 
@@ -168,7 +172,13 @@ def ep_rate_damping_quad(field: HusimiField, bath: BathParams, j: SpinJ) -> EpRe
         w = (2J tau_bar_z)^2 sin^2 / (1 + tau_bar_z cos) - 4J tau_bar_z cos,
 
     the flux summed over the grid's Gauss-Legendre theta nodes and weights
-    W_i, p the populations and p^eq the diagonal of damping_stationary_state.
+    W_i, p the populations and p^eq those of damping_stationary_populations.
+    sigma is written as D^2 / ((1 + tau_bar_z cos) Q) = (1 + tau_bar_z cos) u^2 / Q
+    with u = d_theta Q + 2J tau_bar_z sin Q / (1 + tau_bar_z cos), so only
+    u^2 / Q and (d_phi Q)^2 / Q are summed over each phi row and the
+    theta-only factors weight the row sums.  u keeps D's zero on a
+    detailed-balance state, where expanding the square into Q, d_theta Q
+    and (d_theta Q)^2 / Q terms would leave their O(1) roundoff.
     dS/dt := sigma - phi, so no D(Q) is synthesized (wehrl_rate_dissipative
     computes it independently).  The grid is at or above the band limit.
     """
@@ -177,16 +187,15 @@ def ep_rate_damping_quad(field: HusimiField, bath: BathParams, j: SpinJ) -> EpRe
     grid = field.grid
     pref = (j.two_j + 1) / (4.0 * np.pi)
     tb = bath.tau_bar_z
-    cos_t = grid.cos_theta[:, None]
-    sin_t = grid.sin_theta[:, None]
+    cos_t, sin_t = grid.cos_theta, grid.sin_theta
     relax = 1.0 + tb * cos_t
-    # theta-only factors are formed on the (n_theta, 1) column before they meet the grid
-    drift = (tb * j.two_j * sin_t) * field.q + relax * field.dq_dtheta
-    numerator = drift**2 / relax + field.dq_dphi**2 * ((cos_t + tb) * cos_t / sin_t**2)
-    value, notes = _masked_log_quadrature(field, numerator, "damping rate")
-    sigma = 0.5 * bath.gamma_bar * pref * value
-    p_eq = damping_stationary_state(j, bath.nbar).diagonal().real
-    phi = damping_flux(field, bath.gamma_bar, tb, p_eq)
+    # theta-only factors are formed on the theta nodes before they meet the grid
+    u = (tb * j.two_j * sin_t / relax)[:, None] * field.q
+    u += field.dq_dtheta
+    (drift, azimuthal), notes = _squares_over_q(field, (u, field.dq_dphi), "damping rate")
+    rows = relax * drift + (cos_t + tb) * cos_t / sin_t**2 * azimuthal
+    sigma = 0.5 * bath.gamma_bar * pref * grid.integrate_rows(rows)
+    phi = damping_flux(field, bath.gamma_bar, tb, damping_stationary_populations(j, bath.nbar))
     return EpReport(sigma_dot=sigma, phi_dot=phi, ds_dt=sigma - phi, route="quadrature", warnings=notes)
 
 

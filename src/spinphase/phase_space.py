@@ -9,10 +9,10 @@ Fourier series
     F(theta, phi) = sum_k g_k(theta) exp(i k phi),  |k| <= 2J.
 
 Q is real, so its spectrum is conjugate symmetric, g_{-k} = conj(g_k), and
-a field keeps only the k >= 0 half: a complex array half[order, k, theta]
+only the k >= 0 half is ever formed: a complex array half[order, k, theta]
 for k = 0 ... 2J, where order 0 holds the components g_k and orders 1 and
-2 their analytic theta-derivatives.  A real field is synthesized from a
-k >= 0 half as
+2 their analytic theta-derivatives, which a field builds when a dissipator
+first reads it.  A real field is synthesized from a k >= 0 half as
 
     F = Re sum_{k >= 0} c_k e^{ik phi} = sum_k (Re c_k cos(k phi) - Im c_k sin(k phi)),
 
@@ -38,18 +38,24 @@ k; with c = cos(theta), s = sin(theta), t = tau_bar_z and n = 2J,
 
 Whatever depends only on J and the grid is built on first use and cached
 on the SphereGrid, keyed by 2J: the pair products a_r a_r' (r <= r') of the
-coherent amplitudes with their first and second theta-derivatives, the
-cos/sin table over k = 0 ... 2J, and the per-k columns the synthesis and
-d_phi scale the components by.  A state's half spectrum is then one
-broadcast product of rho with the pair table, summed along the diagonals
-k = r' - r, and Q, dQ/dtheta and dQ/dphi come out of one real
-(3 n_theta x 2K) @ (2K x n_phi) product.
+coherent amplitudes with their first and second theta-derivatives, one row
+per (order, theta node) and doubled where r' > r, the cos/sin table over
+k = 0 ... 2J, and the indices that scatter a state into pair space.  A
+state becomes a real (pairs x 2K) matrix, K = 2J + 1, whose row for the
+pair (r, r') holds [Re rho[r, r'], Im rho[r, r']] at column k = r' - r; one
+GEMM with the value and theta-derivative rows of the pair table gives the
+interleaved coefficients [Re c_k, Im c_k] of Q and dQ/dtheta on every theta
+node, ik times those of Q give dQ/dphi, and one real
+(3 n_theta x 2K) @ (2K x n_phi) product synthesizes all three fields.
 
 Quadrature pairs Gauss-Legendre nodes in cos(theta) with a uniform phi
 grid, so there are no polar nodes and trigonometric polynomials up to the
-band limit integrate exactly.
+band limit integrate exactly.  Every grid integral is one form,
+(2 pi / n_phi) sum_theta W_theta sum_phi f: the phi sums of each theta row
+against the Gauss-Legendre weights.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -93,7 +99,6 @@ class SphereGrid:
         self.cos_theta = np.cos(self.theta_nodes)
         self.sin_theta = np.sin(self.theta_nodes)
         self.cot_theta = self.cos_theta / self.sin_theta
-        self.weights_2d = np.outer(self.theta_weights, np.full(self.n_phi, 2.0 * np.pi / self.n_phi))
         self._tables = {}
 
     def check_band_limit(self, j: SpinJ) -> None:
@@ -112,11 +117,19 @@ class SphereGrid:
         return tables
 
     def integrate(self, values: np.ndarray) -> float:
-        """Integral over the full sphere of values sampled on the grid."""
+        """Integral over the full sphere of values sampled on the grid (see integrate_rows)."""
         values = np.asarray(values)
         if values.shape != (self.n_theta, self.n_phi):
             raise DimensionError(f"values shape {values.shape} does not match grid {self.n_theta} x {self.n_phi}")
-        return float(np.sum(values * self.weights_2d).real)
+        return self.integrate_rows(values.sum(axis=1))
+
+    def integrate_rows(self, row_sums: np.ndarray) -> float:
+        """Integral over the full sphere of a field given by its phi sums on each theta row.
+
+        (2 pi / n_phi) sum_theta W_theta row_sums[theta]; a theta-only factor
+        of the integrand can multiply the row sums instead of the grid.
+        """
+        return float(np.real(self.theta_weights @ row_sums)) * (2.0 * np.pi / self.n_phi)
 
 
 def _amplitude_table(j: SpinJ, thetas: np.ndarray, orders: int = 3) -> np.ndarray:
@@ -173,20 +186,22 @@ def coherent_amplitudes(j: SpinJ, theta: float) -> CoherentAmplitudes:
 class _SpinTables:
     """What the Husimi synthesis needs of one spin on one grid; read-only once built.
 
-    pairs[:, p] holds a_r a_r', its first theta-derivative and its second
-    for the p-th pair (rows[p], cols[p]) of the upper triangle r <= r', in
-    row-major order, so row r starts at starts[r] and runs over k = r' - r =
-    0 ... 2J - r.  A state's k >= 0 components are rho[r, r'] times these
-    summed over the rows.  trig rows 2k and 2k + 1 hold cos(k phi) and -sin(k phi)
-    on the phi nodes, k = 0 ... 2J.  The columns over k = 0 ... 2J are
-    doubled, the weights (1, 2, ..., 2) of c_k = 2 g_k, and ik, which maps
-    g_k to the components of d_phi.
+    pairs[o * n_theta + i, p] holds the o-th theta-derivative (o = 0, 1, 2)
+    of a_r a_r' at node i for the p-th pair (r, r') of the upper triangle
+    r <= r', in row-major order, doubled where r' > r (the weight of
+    c_k = 2 g_k at k = r' - r > 0); diagonal[r] is the index of the pair
+    (r, r).  A state's pair-space matrix is zero but for its entry
+    rho.flat[source[p]] at flat index target[p] of a complex
+    (pairs, 2J + 1) array, column k = r' - r.  trig rows 2k and 2k + 1 hold
+    cos(k phi) and -sin(k phi) on the phi nodes, k = 0 ... 2J.  Over
+    k = 0 ... 2J, the column doubled holds the weights (1, 2, ..., 2) and
+    the row ik maps a component of Q to the one of d_phi Q.
     """
 
     pairs: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    starts: np.ndarray
+    diagonal: np.ndarray
+    source: np.ndarray
+    target: np.ndarray
     trig: np.ndarray
     doubled: np.ndarray
     ik: np.ndarray
@@ -196,41 +211,31 @@ def _build_tables(j: SpinJ, grid: SphereGrid) -> _SpinTables:
     grid.check_band_limit(j)
     a0, a1, a2 = _amplitude_table(j, grid.theta_nodes, orders=3)
     rows, cols = np.triu_indices(j.dim)
-    starts = np.searchsorted(rows, np.arange(j.dim))
+    k = cols - rows
+    doubled = np.where(np.arange(j.dim) > 0, 2.0, 1.0)
     pairs = np.stack((
         a0[rows] * a0[cols],
         a1[rows] * a0[cols] + a0[rows] * a1[cols],
         a2[rows] * a0[cols] + 2.0 * a1[rows] * a1[cols] + a0[rows] * a2[cols],
-    ))
+    )) * doubled[k, None]
+    pairs = np.ascontiguousarray(pairs.transpose(0, 2, 1).reshape(3 * grid.n_theta, rows.size))
+    diagonal = np.flatnonzero(k == 0)
     angles = np.arange(j.dim)[:, None] * grid.phi_nodes[None, :]
     trig = np.stack((np.cos(angles), -np.sin(angles)), axis=1).reshape(2 * j.dim, grid.n_phi)
-    doubled = np.full((j.dim, 1), 2.0)
-    doubled[0] = 1.0
-    ik = 1j * np.arange(j.dim)[:, None]
-    for table in (pairs, rows, cols, starts, trig, doubled, ik):
+    tables = _SpinTables(
+        pairs=pairs, diagonal=diagonal, source=rows * j.dim + cols, target=np.arange(rows.size) * j.dim + k,
+        trig=trig, doubled=doubled[:, None], ik=1j * np.arange(j.dim),
+    )
+    for table in vars(tables).values():
         table.flags.writeable = False
-    return _SpinTables(pairs=pairs, rows=rows, cols=cols, starts=starts, trig=trig, doubled=doubled, ik=ik)
-
-
-def _half_spectrum(rho: np.ndarray, tables: _SpinTables) -> np.ndarray:
-    """Components k = 0 ... 2J of Q with two theta-derivatives; those at -k are their conjugates."""
-    # pair (r, r') adds to component k = r' - r (m - m' for m = J - r, m' = J - r');
-    # row r holds k = 0 ... d - 1 - r contiguously, and the rows are summed in order
-    terms = rho[tables.rows, tables.cols][:, None] * tables.pairs
-    d = rho.shape[0]
-    g = terms[:, :d].copy()
-    for r, start in enumerate(tables.starts[1:], 1):
-        g[:, : d - r] += terms[:, start : start + d - r]
-    return g
+    return tables
 
 
 def _from_half(g: np.ndarray, tables: _SpinTables) -> np.ndarray:
-    """Real field of a conjugate-symmetric spectrum from its k >= 0 half g of shape (..., 2J + 1, n_theta)."""
-    c = tables.doubled * g
-    lead, (n_k, n_theta) = c.shape[:-2], c.shape[-2:]
+    """Real field of a conjugate-symmetric spectrum from its k >= 0 half g of shape (2J + 1, n_theta)."""
     # [Re c_k, Im c_k] interleaved along k, against the cos / -sin rows of the table
-    coeffs = np.ascontiguousarray(np.swapaxes(c, -1, -2)).view(float).reshape(-1, 2 * n_k)
-    return (coeffs @ tables.trig).reshape(*lead, n_theta, -1)
+    coeffs = np.ascontiguousarray((tables.doubled * g).T).view(float)
+    return coeffs @ tables.trig
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,11 +243,14 @@ class HusimiField:
     """Husimi function of a state sampled on a sphere grid.
 
     q, dq_dtheta and dq_dphi are real arrays of shape (n_theta, n_phi),
-    synthesized together from half: the components g_k of Q for
+    synthesized together from spectrum, the state in pair space: a real
+    (pairs, 2(2J + 1)) array whose row for the pair (r, r') of the upper
+    triangle holds [Re rho[r, r'], Im rho[r, r']] at column k = r' - r.
+    half, built on its first read, holds the components g_k of Q for
     k = 0 ... 2J, each with two theta-derivatives, in one complex
-    (3, 2J + 1, n_theta) array.  The dissipator fields are per-k
-    combinations of half, synthesized with the tables the grid caches for
-    this spin; the ladder actions are read pointwise from the derivatives.
+    (3, 2J + 1, n_theta) array; only the dissipator fields read it, as
+    per-k combinations synthesized with the tables the grid caches for
+    this spin.  The ladder actions are read pointwise from the derivatives.
     populations is the real diagonal p_m of the state, m = J ... -J, which
     fixes the azimuthal average sum_m p_m a_m^2 of Q.
     """
@@ -252,8 +260,15 @@ class HusimiField:
     q: np.ndarray
     dq_dtheta: np.ndarray
     dq_dphi: np.ndarray
-    half: np.ndarray
+    spectrum: np.ndarray
     populations: np.ndarray
+
+    @functools.cached_property
+    def half(self) -> np.ndarray:
+        """Components k = 0 ... 2J of Q with two theta-derivatives; those at -k are their conjugates."""
+        tables = self.grid._spin_tables(self.j)
+        c = (tables.pairs @ self.spectrum).view(complex).reshape(3, self.grid.n_theta, self.j.dim)
+        return np.swapaxes(c, 1, 2) / tables.doubled
 
 
 def husimi_field(rho: np.ndarray, grid: SphereGrid) -> HusimiField:
@@ -261,10 +276,19 @@ def husimi_field(rho: np.ndarray, grid: SphereGrid) -> HusimiField:
     rho = check_density_matrix(rho)
     j = SpinJ(rho.shape[0] - 1)
     tables = grid._spin_tables(j)
-    half = _half_spectrum(rho, tables)
-    q, dq_dtheta, dq_dphi = _from_half(np.stack((half[0], half[1], tables.ik * half[0])), tables)
+    n_theta = grid.n_theta
+    # pair (r, r') feeds component k = r' - r (m - m' for m = J - r, m' = J - r')
+    spectrum = np.zeros((tables.source.size, j.dim), dtype=complex)
+    spectrum.ravel()[tables.target] = np.take(rho, tables.source)
+    spectrum = spectrum.view(float)
+    # rows: the [Re c_k, Im c_k] of Q, then of dQ/dtheta, then of dQ/dphi, on every theta node
+    coeffs = np.empty((3 * n_theta, 2 * j.dim))
+    np.matmul(tables.pairs[: 2 * n_theta], spectrum, out=coeffs[: 2 * n_theta])
+    np.multiply(coeffs[:n_theta].view(complex), tables.ik, out=coeffs[2 * n_theta :].view(complex))
+    q, dq_dtheta, dq_dphi = (coeffs @ tables.trig).reshape(3, n_theta, grid.n_phi)
     return HusimiField(
-        j=j, grid=grid, q=q, dq_dtheta=dq_dtheta, dq_dphi=dq_dphi, half=half, populations=rho.diagonal().real.copy()
+        j=j, grid=grid, q=q, dq_dtheta=dq_dtheta, dq_dphi=dq_dphi, spectrum=spectrum,
+        populations=rho.diagonal().real.copy(),
     )
 
 
@@ -336,7 +360,7 @@ def damping_flux(field: HusimiField, gamma_bar: float, tau_bar_z: float, populat
     c, s, t, n = grid.cos_theta, grid.sin_theta, tau_bar_z, field.j.two_j
     w = (n * t) ** 2 * s**2 / (1.0 + t * c) - 2 * n * t * c
     # the diagonal pairs (r, r) hold a_m^2 for m = J - r
-    f = tables.pairs[0, tables.starts] @ (grid.theta_weights * w)
+    f = (grid.theta_weights * w) @ tables.pairs[: grid.n_theta, tables.diagonal]
     return 0.25 * gamma_bar * (n + 1) * float(f @ (field.populations - populations_eq))
 
 
@@ -359,35 +383,42 @@ def dissipator_field(field: HusimiField, channel) -> np.ndarray:
     return channel.phase_space_dissipator(field)
 
 
-def floored_integral(field: HusimiField, f, values: np.ndarray, context: str | None = None) -> tuple:
-    """Sphere integral of f(values, Q) over the nodes where Q clears the Husimi floor, and the weight of the rest.
+def floor_mask(field: HusimiField, context: str | None = None) -> tuple:
+    """Mask of the nodes where Q clears the Husimi floor (None when all do) and the grid weight of the rest.
 
-    Given a context, an exclusion also raises QFloorWarning with the text
-    FLOOR_NOTE.  The Wehrl entropy passes none: Q ln Q has a removable
-    limit at Q = 0, so the excluded nodes lose nothing.  The mask and its
-    boolean-indexed integrand are built only when some node lies below the
-    floor.
+    The excluded weight is the integral of the masked-node count of each
+    theta row.  Given a context, an exclusion also raises QFloorWarning
+    with the text FLOOR_NOTE, attributed to the caller of the rate that
+    asked.
     """
     q = field.q
     if q.min() >= Q_FLOOR:
-        return field.grid.integrate(f(values, q)), 0.0
+        return None, 0.0
     mask = q >= Q_FLOOR
-    excluded = float(np.sum(field.grid.weights_2d[~mask]))
+    excluded = field.grid.integrate(~mask)
     if context is not None:
-        warnings.warn(FLOOR_NOTE.format(context, excluded), QFloorWarning, stacklevel=3)
-    integrand = np.zeros_like(q)
-    integrand[mask] = f(values[mask], q[mask])
-    return field.grid.integrate(integrand), excluded
+        warnings.warn(FLOOR_NOTE.format(context, excluded), QFloorWarning, stacklevel=4)
+    return mask, excluded
+
+
+def floored_log(field: HusimiField, context: str | None = None) -> np.ndarray:
+    """ln Q on the nodes where Q clears the Husimi floor and 0 on the rest, so a product with it leaves them out.
+
+    Given a context, an exclusion also raises QFloorWarning (see
+    floor_mask).  The Wehrl entropy passes none: Q ln Q has a removable
+    limit at Q = 0, so the excluded nodes lose nothing.
+    """
+    mask, _ = floor_mask(field, context)
+    return np.log(field.q if mask is None else np.where(mask, field.q, 1.0))
 
 
 def wehrl_entropy(field: HusimiField) -> float:
     """Wehrl entropy -(2J+1)/(4 pi) integral of Q ln Q."""
     pref = (field.j.two_j + 1) / (4.0 * np.pi)
-    return -pref * floored_integral(field, lambda q, _: q * np.log(q), field.q)[0]
+    return -pref * field.grid.integrate(field.q * floored_log(field))
 
 
 def wehrl_rate_dissipative(field: HusimiField, channel) -> float:
     """Dissipative Wehrl entropy rate -(2J+1)/(4 pi) integral of D(Q) ln Q."""
     pref = (field.j.two_j + 1) / (4.0 * np.pi)
-    dvals = dissipator_field(field, channel)
-    return -pref * floored_integral(field, lambda d, q: d * np.log(q), dvals, "wehrl rate")[0]
+    return -pref * field.grid.integrate(dissipator_field(field, channel) * floored_log(field, "wehrl rate"))

@@ -76,6 +76,18 @@ def test_evolve_rejects_bad_spin(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("spin", ["inf", "1e400", "inf/2", "nan"])
+def test_non_finite_spin_is_a_named_error(tmp_path, capsys, spin):
+    out = tmp_path / "o.csv"
+    code = run([
+        "sweep-coherence", "--channel", "dephasing", "--lambda", "1", "--j", spin, "--seed", "1",
+        "--coherence", "0.2", "--points", "3", "--grid", "16x16", "--out", out,
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: --j: expected a positive integer or half-integer, got '{spin}'")
+    assert not out.exists()
+
+
 def test_state_file_round_trip(tmp_path):
     path = tmp_path / "state.txt"
     path.write_text("dim 2\n0.7+0j 0.1+0.2j\n0.1-0.2j 0.3+0j\n")

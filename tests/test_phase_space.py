@@ -487,6 +487,33 @@ def test_ladder_actions_match_matrix_commutators_at_workload_spins(two_j):
             assert np.abs(action(field) - oracle).max() < 1e-12, (name, action.__name__)
 
 
+@pytest.mark.parametrize("two_j", range(1, 9))
+def test_half_spectrum_is_the_sum_along_each_diagonal(two_j):
+    # half[o, k] sums rho[r, r + k] times the o-th theta-derivative of a_r a_{r+k} over r, one diagonal at a
+    # time, however the field builds it; it is built on its first read, not with q
+    from spinphase.phase_space import _amplitude_table
+
+    j = SpinJ(two_j)
+    grid = SphereGrid(20, 20)
+    rho = random_rho(np.random.default_rng(90 + two_j), j.dim)
+    a0, a1, a2 = _amplitude_table(j, grid.theta_nodes, orders=3)
+    expected = np.zeros((3, j.dim, grid.n_theta), dtype=complex)
+    for k in range(j.dim):
+        for r in range(j.dim - k):
+            s = r + k
+            products = (a0[r] * a0[s], a1[r] * a0[s] + a0[r] * a1[s], a2[r] * a0[s] + 2 * a1[r] * a1[s] + a0[r] * a2[s])
+            for order, product in enumerate(products):
+                expected[order, k] += rho[r, s] * product
+    field = husimi_field(rho, grid)
+    assert "half" not in vars(field)
+    half = field.half
+    assert half.shape == expected.shape
+    for order in range(3):
+        scale = np.abs(expected[order]).max()
+        assert np.abs(half[order] - expected[order]).max() <= 1e-15 * scale
+    assert field.half is half
+
+
 def test_one_grid_serves_several_spins():
     # the grid caches its tables per spin; alternating spins must not mix them
     grid = SphereGrid(24, 24)
