@@ -30,7 +30,6 @@ from .spins import (
     SpinJ,
     SpinOperators,
     check_density_matrix,
-    make_spin_operators,
     read_only,
     relative_entropy_of_coherence,
 )

@@ -5,7 +5,6 @@ are ordered by decreasing magnetic quantum number, so index 0 is the top
 rung m = +J of the ladder (for a qubit, the upper level).
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -80,13 +79,11 @@ class SpinOperators:
             object.__setattr__(self, name, read_only(getattr(self, name)))
 
 
-@functools.lru_cache(maxsize=32)
 def make_spin_operators(j: SpinJ) -> SpinOperators:
     """Build jx, jy, jz and the ladder pair for spin j.
 
     jz is diagonal with entries J, J-1, ..., -J; the ladder matrix elements
-    are <m+1|J+|m> = sqrt(J(J+1) - m(m+1)).  Built once per spin and shared,
-    so every array is read-only.
+    are <m+1|J+|m> = sqrt(J(J+1) - m(m+1)).  Every array is read-only.
     """
     d = j.dim
     m = j.m_values

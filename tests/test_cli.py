@@ -329,6 +329,8 @@ NON_FINITE_STATE = "dim 2\nnan+0j 0j\n0j 0.5+0j\n"
         (["evolve", "--channel", "dephasing", "--j", "1", "--lambda", "1.0", "--seed", "1", "--coherence", "nan"],
          "coherence"),
         (["sweep-coherence", "--channel", "dephasing", "--lambda", "1.0", "--bloch", "0,0,nan"], "Bloch"),
+        (["sweep-coherence", "--channel", "dephasing", "--lambda", "1.0", "--bloch", "nan,0,0.2"], "Bloch"),
+        (["sweep-coherence", "--channel", "dephasing", "--lambda", "1.0", "--bloch", "inf,0,0"], "Bloch"),
     ],
 )
 def test_non_finite_input_is_a_named_error(tmp_path, capsys, argv, named):
@@ -338,6 +340,42 @@ def test_non_finite_input_is_a_named_error(tmp_path, capsys, argv, named):
     argv = [str(state) if a == "STATE" else a for a in argv]
     assert run(argv + ["--out", out]) == 2
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_sweep_checks_the_whole_bloch_vector(tmp_path, capsys):
+    # only tau_z sets the sweep, but a vector of norm 5.004 is no state
+    out = tmp_path / "o.csv"
+    argv = ["sweep-coherence", "--channel", "dephasing", "--lambda", "1", "--points", "3", "--grid", "16x16"]
+    assert run(argv + ["--bloch", "5,0,0.2", "--out", out]) == 2
+    assert "Bloch norm 5.00399840127872 exceeds 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+QUBIT_SWEEP = ["sweep-coherence", "--channel", "dephasing", "--lambda", "1", "--points", "3", "--grid", "16x16"]
+QUBIT_EVOLVE = ["evolve", "--bloch", "0.5,0,0", "--tmax", "0.1", "--steps", "2", "--grid", "16x16"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ([*QUBIT_SWEEP, "--state", "state.txt"], "--state"),
+        ([*QUBIT_SWEEP, "--seed", "1", "--coherence", "0.3"], "--seed"),
+        ([*QUBIT_SWEEP, "--coherence", "0.3"], "--coherence"),
+        ([*QUBIT_SWEEP, "--j", "1", "--seed", "1", "--coherence", "0.3", "--bloch", "0,0,0.5"], "--bloch"),
+        ([*QUBIT_SWEEP, "--tau-bar-z", "0"], "--tau-bar-z"),
+        ([*QUBIT_EVOLVE, "--channel", "dephasing", "--lambda", "1", "--gamma", "1"], "--gamma"),
+        ([*QUBIT_EVOLVE, "--channel", "damping", "--gamma", "1", "--nbar", "0.5", "--lambda", "1"], "--lambda"),
+    ],
+)
+def test_a_flag_the_command_never_reads_is_a_named_error(tmp_path, capsys, argv, flag):
+    out = tmp_path / "o.csv"
+    try:
+        code = run(argv + ["--out", out])
+    except SystemExit as exc:  # a flag the subcommand does not define at all
+        code = exc.code
+    assert code == 2
+    assert flag in capsys.readouterr().err
     assert not out.exists()
 
 
