@@ -9,7 +9,6 @@ jump part plus the coherence consumption rate.
 import numpy as np
 
 from spinphase import (
-    AmplitudeDampingChannel,
     BathParams,
     SphereGrid,
     SpinJ,
@@ -42,7 +41,7 @@ rho0 = bloch_to_rho([0.5, 0.1, 0.2])
 traj = evolve(chan, rho0, 2 * dt, 2)
 s_before = wehrl_entropy(husimi_field(traj.states[0], grid))
 s_after = wehrl_entropy(husimi_field(traj.states[2], grid))
-report = ep_rate_damping_quad(husimi_field(traj.states[1], grid), bath, qubit)
+report = ep_rate_damping_quad(husimi_field(traj.states[1], grid), chan)
 fd = (s_after - s_before) / (2 * dt)
 print("Wehrl balance")
 print(f"  sigma - phi      {report.ds_dt:+.10f}")

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from spinphase import (
-    AmplitudeDampingChannel,
+    BathParams,
     DephasingChannel,
     SpinJ,
     apply_liouvillian,
@@ -46,9 +46,10 @@ print()
 # Damping: relaxation to (0, 0, tau_bar_z) at rate gamma_bar
 # ----------------------------------------------------------------------
 gamma, nbar = 1.0, 0.5
-chan = AmplitudeDampingChannel(gamma=gamma, nbar=nbar, ops=ops)
+bath = BathParams.from_nbar(gamma, nbar)
+chan = bath.channel(ops)
 print(f"damping, gamma = {gamma}, nbar = {nbar}")
-print(f"bath polarization tau_bar_z = {chan.tau_bar_z:+.4f}, gamma_bar = {chan.gamma_bar:.4f}")
+print(f"bath polarization tau_bar_z = {bath.tau_bar_z:+.4f}, gamma_bar = {bath.gamma_bar:.4f}")
 
 traj = evolve(chan, bloch_to_rho([0.6, 0.0, 0.4]), 6.0, 600)
 print(" t      tau_z (rk4)   tau_z (exact)")
@@ -64,7 +65,7 @@ print()
 # ----------------------------------------------------------------------
 for two_j in (1, 2, 4):
     jj = SpinJ(two_j)
-    chan_j = AmplitudeDampingChannel(gamma=1.0, nbar=0.5, ops=make_spin_operators(jj))
+    chan_j = BathParams.from_nbar(1.0, 0.5).channel(make_spin_operators(jj))
     rho_eq = damping_stationary_state(jj, 0.5)
     residual = np.abs(apply_liouvillian(chan_j, rho_eq)).max()
     pops = np.real(np.diag(rho_eq))

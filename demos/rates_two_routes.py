@@ -11,6 +11,7 @@ import numpy as np
 
 from spinphase import (
     BathParams,
+    DephasingChannel,
     PurityDivergence,
     SphereGrid,
     SpinJ,
@@ -22,9 +23,11 @@ from spinphase import (
     ep_vn_qubit_damping,
     ep_vn_qubit_dephasing,
     husimi_field,
+    make_spin_operators,
 )
 
-qubit = SpinJ(1)
+ops = make_spin_operators(SpinJ(1))
+dephasing = DephasingChannel(lam=1.0, ops=ops)
 grid = SphereGrid(128, 128)
 
 # ----------------------------------------------------------------------
@@ -35,7 +38,7 @@ print(" tau_x    closed form       quadrature        vN route")
 for perp in (0.2, 0.4, 0.6, 0.8):
     tau = [perp, 0.0, 0.1]
     closed = ep_qubit_dephasing_closed(tau, 1.0)
-    quad = ep_rate_dephasing_quad(husimi_field(bloch_to_rho(tau), grid), 1.0, qubit).sigma_dot
+    quad = ep_rate_dephasing_quad(husimi_field(bloch_to_rho(tau), grid), dephasing).sigma_dot
     vn = ep_vn_qubit_dephasing(tau, 1.0)
     print(f" {perp:.1f}     {closed:.12f}    {quad:.12f}    {vn:.12f}")
 print()
@@ -48,7 +51,7 @@ print(f"damping, gamma = 1, nbar = 0.5 (tau_bar_z = {bath.tau_bar_z:+.2f})")
 print(" tau      sigma (closed)    sigma (quad)      phi (quad)")
 for tau in ([0.0, 0.0, 0.0], [0.6, 0.0, 0.0], [0.3, 0.2, -0.4]):
     closed = ep_qubit_damping_closed(tau, bath)
-    report = ep_rate_damping_quad(husimi_field(bloch_to_rho(tau), grid), bath, qubit)
+    report = ep_rate_damping_quad(husimi_field(bloch_to_rho(tau), grid), bath.channel(ops))
     print(f" {str(tau):24s} {closed:.10f}    {report.sigma_dot:.10f}    {report.phi_dot:+.10f}")
     balance = report.sigma_dot - report.phi_dot - report.ds_dt
     assert abs(balance) < 1e-12
@@ -69,7 +72,7 @@ fine = SphereGrid(256, 256)
 for frac in (0.125, 0.25, 0.5):
     theta = frac * math.pi
     tau = [math.sin(theta), 0.0, math.cos(theta)]
-    quad = ep_rate_dephasing_quad(husimi_field(bloch_to_rho(tau), fine), 1.0, qubit).sigma_dot
+    quad = ep_rate_dephasing_quad(husimi_field(bloch_to_rho(tau), fine), dephasing).sigma_dot
     target = 0.25 * math.sin(theta) ** 2
     try:
         ep_vn_qubit_dephasing(tau, 1.0)

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
-    AmplitudeDampingChannel,
     BathParams,
     DephasingChannel,
     UnitaryChannel,
@@ -204,7 +203,7 @@ def _dephasing(lam: float, j: SpinJ) -> _Rates:
 
     return _Rates(
         channel=channel,
-        quad=lambda field: ep_rate_dephasing_quad(field, lam, j),
+        quad=lambda field: ep_rate_dephasing_quad(field, channel),
         closed=lambda tau: ep_qubit_dephasing_closed(tau, lam),
         vn=vn,
         time=("lambda_t", lam) if lam > 0 else ("t", 1.0),
@@ -223,7 +222,7 @@ def _damping(bath: BathParams, j: SpinJ, meta: dict) -> _Rates:
 
     return _Rates(
         channel=channel,
-        quad=lambda field: ep_rate_damping_quad(field, bath, j),
+        quad=lambda field: ep_rate_damping_quad(field, channel),
         closed=lambda tau: ep_qubit_damping_closed(tau, bath),
         vn=vn,
         time=("gamma_bar_t", bath.gamma_bar) if bath.gamma_bar > 0 else ("t", 1.0),
@@ -412,6 +411,8 @@ def cmd_sweep_coherence(args) -> int:
             if abs(tau[2]) > 1.0:
                 raise CliError("--bloch: |tau_z| must be <= 1")
             check_bloch_vector(tau)
+            if tau[0] != 0.0 or tau[1] != 0.0:
+                raise CliError(f"--bloch: a --j 1/2 sweep reads only tau_z, so X and Y must be 0, got {args.bloch!r}")
             tau_z = float(tau[2])
             meta["bloch"] = args.bloch
         rows, notes = _sweep_table(rates, grid, *_qubit_sweep_states(tau_z, args.points))
@@ -435,11 +436,10 @@ FIG4_SEED = 2
 def _fig1(out_dir: str) -> None:
     """Closed vs damped qubit observables: H = (omega0/2) sigma_x against a thermal bath."""
     omega0 = 1.0
-    j = SpinJ(1)
-    ops = make_spin_operators(j)
+    ops = make_spin_operators(SpinJ(1))
     rho0 = bloch_to_rho([0.0, 0.0, 1.0])
     closed = evolve(UnitaryChannel(hamiltonian=0.5 * omega0 * PAULI_X), rho0, 20.0, 2000)
-    damped = evolve(AmplitudeDampingChannel(gamma=0.5, nbar=0.5, ops=ops), rho0, 20.0, 2000)
+    damped = evolve(BathParams.from_nbar(0.5, 0.5).channel(ops), rho0, 20.0, 2000)
     rows = np.column_stack((closed.times, rho_to_bloch(closed.states), rho_to_bloch(damped.states))).tolist()
     meta = {
         "command": "fig",

@@ -3,10 +3,10 @@
 Channels bundle a Hamiltonian with a dissipator.  The dephasing channel
 couples through jz with strength lambda; the amplitude-damping channel is
 the thermal ladder pair (J-, J+) with loss rate gamma (nbar + 1) and gain
-rate gamma nbar.  A general Davies channel carries explicit jump operators
-and rates, optionally tied together by an inverse temperature.  Every
-channel holds its Hamiltonian and jump operators as read-only copies taken
-at construction, so its generator matrix, built on first read, stays valid.
+rate gamma nbar, read from the one BathParams it carries.  Each channel is
+one frozen object holding every constant its rates read, and its
+Hamiltonian and jump operators as read-only copies taken at construction,
+so its generator matrix, built on first read, stays valid.
 """
 
 import functools
@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     BasisError,
-    DetailedBalanceError,
     DimensionError,
     PositivityWarning,
     StepCountError,
@@ -151,26 +150,7 @@ class BathParams:
 
     def channel(self, ops: SpinOperators) -> "AmplitudeDampingChannel":
         """Damping channel of this bath; it carries this object, not a copy of its rates."""
-        return AmplitudeDampingChannel._of(self, ops)
-
-
-@dataclass(frozen=True, eq=False)
-class DaviesPair:
-    """One thermal jump pair: lowering operator, its rate, the raising rate, and the transition frequency.
-
-    l_plus, the raising operator, is derived once here because the
-    dissipator applies it at every generator evaluation.
-    """
-
-    l_minus: np.ndarray
-    gamma_minus: float
-    gamma_plus: float
-    omega: float
-    l_plus: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "l_minus", read_only(self.l_minus))
-        object.__setattr__(self, "l_plus", read_only(self.l_minus.conj().T))
+        return AmplitudeDampingChannel(self, ops)
 
 
 def _lindblad_term(l_op: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -178,117 +158,48 @@ def _lindblad_term(l_op: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return l_op @ rho @ l_op.conj().T - 0.5 * (ldl @ rho + rho @ ldl)
 
 
-def davies_dissipator(spec, rho: np.ndarray) -> np.ndarray:
-    """Sum over the jump pairs of spec (a Davies or damping channel) of both Lindblad terms.
-
-    This loop is the damping dissipator too: a damping channel is the one
-    pair (J-, gamma (nbar + 1), gamma nbar), built when the channel is.
-    """
-    out = np.zeros_like(rho)
-    for pair in spec.pairs:
-        if pair.gamma_minus != 0.0:
-            out = out + pair.gamma_minus * _lindblad_term(pair.l_minus, rho)
-        if pair.gamma_plus != 0.0:
-            out = out + pair.gamma_plus * _lindblad_term(pair.l_plus, rho)
-    return out
-
-
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class AmplitudeDampingChannel(Channel):
-    """Thermal ladder damping: the single jump pair (J-, gamma (nbar + 1), gamma nbar).
+    """Thermal ladder damping: loss through J- at gamma (nbar + 1) and gain through J+ at gamma nbar.
 
-    The channel carries one BathParams and reads gamma, nbar, gamma_bar and
-    tau_bar_z from it.  gamma_bar = gamma (2 nbar + 1) is the total
-    relaxation rate; it stays finite in the infinite-temperature limit
-    gamma -> 0, nbar -> inf, which is reachable through the
-    infinite_temperature constructor or BathParams.channel.
+    The rates are read from the one BathParams the channel carries, as
+    (gamma_bar +- gamma) / 2 with gamma_bar = gamma (2 nbar + 1), the total
+    relaxation rate that stays finite in the infinite-temperature limit
+    gamma -> 0, nbar -> inf.  stationary_populations, the read-only p_m of
+    the stationary state, is built here because every damping flux reads it.
     """
 
     bath: BathParams
     ops: SpinOperators
-    hamiltonian: np.ndarray | None
-    pairs: tuple
-
-    def __init__(self, gamma: float, nbar: float, ops: SpinOperators, hamiltonian=None):
-        self._bind(BathParams.from_nbar(gamma, nbar), ops, hamiltonian)
-
-    def _bind(self, bath: BathParams, ops: SpinOperators, hamiltonian) -> None:
-        pair = DaviesPair(
-            l_minus=ops.jminus,
-            gamma_minus=0.5 * (bath.gamma_bar + bath.gamma),
-            gamma_plus=0.5 * (bath.gamma_bar - bath.gamma),
-            omega=0.0,
-        )
-        object.__setattr__(self, "bath", bath)
-        object.__setattr__(self, "ops", ops)
-        object.__setattr__(self, "hamiltonian", read_only(hamiltonian))
-        object.__setattr__(self, "pairs", (pair,))
-
-    @classmethod
-    def _of(cls, bath: BathParams, ops: SpinOperators, hamiltonian=None) -> "AmplitudeDampingChannel":
-        """Channel sharing an existing bath, so its rates are not derived a second time."""
-        channel = cls.__new__(cls)
-        channel._bind(bath, ops, hamiltonian)
-        return channel
-
-    @classmethod
-    def infinite_temperature(cls, gamma_bar: float, ops: SpinOperators, hamiltonian=None):
-        """Infinite-temperature limit: equal up and down rates gamma_bar / 2."""
-        return cls._of(BathParams.from_tau_bar(gamma_bar, 0.0), ops, hamiltonian)
-
-    gamma = property(lambda self: self.bath.gamma)
-    nbar = property(lambda self: self.bath.nbar)
-    gamma_bar = property(lambda self: self.bath.gamma_bar)
-    tau_bar_z = property(lambda self: self.bath.tau_bar_z, doc="Stationary qubit polarization -1 / (2 nbar + 1).")
-    dim = property(lambda self: self.ops.j.dim)
-    dissipator = davies_dissipator
-
-    def phase_space_dissipator(self, field) -> np.ndarray:
-        return damping_dissipator_field(field, self.gamma_bar, self.tau_bar_z, self.ops.j)
-
-
-@dataclass(frozen=True, eq=False)
-class DaviesChannel(Channel):
-    """Collection of thermal jump pairs, optionally checked against a declared beta."""
-
-    pairs: tuple
     hamiltonian: np.ndarray | None = None
-    beta: float | None = None
+    stationary_populations: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(self.pairs))
         object.__setattr__(self, "hamiltonian", read_only(self.hamiltonian))
-        for pair in self.pairs:
-            if pair.gamma_minus < 0.0 or pair.gamma_plus < 0.0:
-                raise ValueError("Davies rates must be >= 0")
-            if self.beta is not None:
-                if pair.gamma_minus == 0.0:
-                    if pair.gamma_plus != 0.0:
-                        raise DetailedBalanceError("gamma_plus > 0 with gamma_minus = 0")
-                    continue
-                ratio = pair.gamma_plus / pair.gamma_minus
-                expected = math.exp(-self.beta * pair.omega)
-                if abs(ratio - expected) > 1e-10:
-                    raise DetailedBalanceError(
-                        f"rate ratio {ratio:.15g} differs from exp(-beta omega) = {expected:.15g}"
-                    )
+        populations = damping_stationary_populations(self.ops.j, self.bath.nbar)
+        object.__setattr__(self, "stationary_populations", populations)
 
-    @classmethod
-    def with_beta(cls, pairs, beta: float, hamiltonian=None):
-        """Fix each gamma_plus to gamma_minus exp(-beta omega)."""
-        fixed = tuple(
-            DaviesPair(
-                l_minus=p.l_minus,
-                gamma_minus=p.gamma_minus,
-                gamma_plus=p.gamma_minus * math.exp(-beta * p.omega),
-                omega=p.omega,
-            )
-            for p in pairs
+    dim = property(lambda self: self.ops.j.dim)
+
+    @property
+    def jumps(self) -> tuple:
+        """(rate, jump) pairs: loss (gamma_bar + gamma) / 2 through J-, gain (gamma_bar - gamma) / 2 through J+."""
+        bath = self.bath
+        return (
+            (0.5 * (bath.gamma_bar + bath.gamma), self.ops.jminus),
+            (0.5 * (bath.gamma_bar - bath.gamma), self.ops.jplus),
         )
-        return cls(pairs=fixed, hamiltonian=hamiltonian, beta=beta)
 
-    dim = property(lambda self: (self.pairs[0].l_minus if self.hamiltonian is None else self.hamiltonian).shape[0])
-    dissipator = davies_dissipator
+    def dissipator(self, rho: np.ndarray) -> np.ndarray:
+        """Sum of the Lindblad terms of both jumps, a zero rate's term skipped."""
+        out = np.zeros_like(rho)
+        for rate, jump in self.jumps:
+            if rate != 0.0:
+                out = out + rate * _lindblad_term(jump, rho)
+        return out
+
+    def phase_space_dissipator(self, field) -> np.ndarray:
+        return damping_dissipator_field(field, self.bath.gamma_bar, self.bath.tau_bar_z, self.ops.j)
 
 
 def dephasing_dissipator(lam: float, ops: SpinOperators, rho: np.ndarray) -> np.ndarray:
@@ -296,16 +207,6 @@ def dephasing_dissipator(lam: float, ops: SpinOperators, rho: np.ndarray) -> np.
     m = ops.jz.diagonal().real
     gap = m[:, None] - m
     return -0.5 * lam * (gap * gap) * rho
-
-
-def amplitude_damping_dissipator(gamma: float, nbar: float, ops: SpinOperators, rho: np.ndarray) -> np.ndarray:
-    """Thermal ladder dissipator with loss gamma (nbar + 1) and gain gamma nbar."""
-    return davies_dissipator(AmplitudeDampingChannel(gamma=gamma, nbar=nbar, ops=ops), rho)
-
-
-def dissipator(spec: Channel, rho: np.ndarray) -> np.ndarray:
-    """Dissipative part of the generator for the given channel."""
-    return spec.dissipator(rho)
 
 
 def apply_liouvillian(spec: Channel, rho: np.ndarray) -> np.ndarray:
@@ -427,13 +328,8 @@ def qubit_damping_bloch(tau0, gamma: float, nbar: float, t) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=16)
 def damping_stationary_populations(j: SpinJ, nbar: float) -> np.ndarray:
-    """Stationary populations p_m, m = J ... -J, of the ladder damping channel: ratio nbar / (nbar + 1) per rung.
-
-    Read-only and computed once per (spin, nbar), since every state of a
-    damping run compares its populations with them.
-    """
+    """Read-only stationary populations p_m, m = J ... -J, of ladder damping: ratio nbar / (nbar + 1) per rung."""
     # population proportional to x^m with x = nbar / (nbar + 1), ground rung m = -J dominating for x < 1
     weights = np.ones(j.dim) if math.isinf(nbar) else (nbar / (nbar + 1.0)) ** (j.m_values + j.j)
     populations = weights / weights.sum()
@@ -453,22 +349,18 @@ class PauliRates:
     w: np.ndarray
 
 
-def pauli_rates_from_davies(spec: DaviesChannel | AmplitudeDampingChannel) -> PauliRates:
-    """Project a Davies or damping channel onto populations: w[n, k] = sum of rate |<n|L|k>|^2.
+def pauli_rates_from_davies(spec: AmplitudeDampingChannel) -> PauliRates:
+    """Project a damping channel onto populations: w[n, k] = sum over its jumps of rate |<n|L|k>|^2.
 
     Requires a Hamiltonian diagonal in the working basis (or none), since
     the population sector only closes on itself in that case.
     """
     ham = spec.hamiltonian
     if ham is not None:
-        off = np.abs(np.asarray(ham) - np.diag(np.diag(np.asarray(ham)))).max()
+        off = np.abs(ham - np.diag(np.diag(ham))).max()
         if off > 1e-12:
             raise BasisError(f"Hamiltonian has off-diagonal weight {off:.3e}")
-    w = np.zeros((spec.dim, spec.dim))
-    for pair in spec.pairs:
-        down = np.abs(pair.l_minus) ** 2
-        up = np.abs(pair.l_plus) ** 2
-        w += pair.gamma_minus * down + pair.gamma_plus * up
+    w = sum(rate * np.abs(jump) ** 2 for rate, jump in spec.jumps)
     np.fill_diagonal(w, 0.0)
     return PauliRates(w=w)
 

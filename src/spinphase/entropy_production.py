@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import BathParams, check_dephasing_rate, damping_stationary_populations, dephasing_dissipator
+from .dynamics import AmplitudeDampingChannel, BathParams, DephasingChannel, check_dephasing_rate, dephasing_dissipator
 from .dynamics import apply_liouvillian  # noqa: F401  (bench/tracer.py wraps this name)
 from .errors import DimensionError, PurityDivergence, SupportError, TemperatureDivergence
 from .phase_space import FLOOR_NOTE, HusimiField, damping_flux, floor_mask
 from .phase_space import wehrl_rate_dissipative  # noqa: F401  (bench/tracer.py wraps this name)
-from .spins import SpinJ, check_bloch_vector, density_eigh
+from .spins import check_bloch_vector, density_eigh
 from .spins import check_density_matrix  # noqa: F401  (bench/tracer.py wraps this name)
 from .spins import make_spin_operators  # noqa: F401  (bench/tracer.py wraps this name)
 
@@ -145,23 +145,23 @@ def _squares_over_q(field: HusimiField, currents: tuple, context: str):
     return sums, (FLOOR_NOTE.format(context, excluded),) if excluded else ()
 
 
-def ep_rate_dephasing_quad(field: HusimiField, lam: float, j: SpinJ) -> EpReport:
-    """Quadrature entropy production rate for dephasing: azimuthal current squared over Q.
+def ep_rate_dephasing_quad(field: HusimiField, channel: DephasingChannel) -> EpReport:
+    """Quadrature entropy production rate of the dephasing channel: azimuthal current squared over Q.
 
     The flux vanishes identically, so the full dissipative Wehrl rate equals
     the production rate.
     """
-    check_dephasing_rate(lam)
+    j = channel.ops.j
     if j != field.j:
         raise DimensionError("spin does not match field")
     pref = (j.two_j + 1) / (4.0 * np.pi)
     (rows,), notes = _squares_over_q(field, (field.dq_dphi,), "dephasing rate")
-    sigma = 0.5 * lam * pref * field.grid.integrate_rows(rows)
+    sigma = 0.5 * channel.lam * pref * field.grid.integrate_rows(rows)
     return EpReport(sigma_dot=sigma, phi_dot=0.0, ds_dt=sigma, route="quadrature", warnings=notes)
 
 
-def ep_rate_damping_quad(field: HusimiField, bath: BathParams, j: SpinJ) -> EpReport:
-    """Quadrature entropy production and flux rates for thermal damping.
+def ep_rate_damping_quad(field: HusimiField, channel: AmplitudeDampingChannel) -> EpReport:
+    """Quadrature entropy production and flux rates of the thermal damping channel, from its bath.
 
     One formula each in (gamma_bar, tau_bar_z) at every temperature, with
     the drift current D = tau_bar_z 2J Q sin + (1 + tau_bar_z cos) d_theta Q:
@@ -172,7 +172,7 @@ def ep_rate_damping_quad(field: HusimiField, bath: BathParams, j: SpinJ) -> EpRe
         w = (2J tau_bar_z)^2 sin^2 / (1 + tau_bar_z cos) - 4J tau_bar_z cos,
 
     the flux summed over the grid's Gauss-Legendre theta nodes and weights
-    W_i, p the populations and p^eq those of damping_stationary_populations.
+    W_i, p the populations and p^eq the channel's stationary_populations.
     sigma is written as D^2 / ((1 + tau_bar_z cos) Q) = (1 + tau_bar_z cos) u^2 / Q
     with u = d_theta Q + 2J tau_bar_z sin Q / (1 + tau_bar_z cos), so only
     u^2 / Q and (d_phi Q)^2 / Q are summed over each phi row and the
@@ -182,6 +182,7 @@ def ep_rate_damping_quad(field: HusimiField, bath: BathParams, j: SpinJ) -> EpRe
     dS/dt := sigma - phi, so no D(Q) is synthesized (wehrl_rate_dissipative
     computes it independently).  The grid is at or above the band limit.
     """
+    j, bath = channel.ops.j, channel.bath
     if j != field.j:
         raise DimensionError("spin does not match field")
     grid = field.grid
@@ -195,7 +196,7 @@ def ep_rate_damping_quad(field: HusimiField, bath: BathParams, j: SpinJ) -> EpRe
     (drift, azimuthal), notes = _squares_over_q(field, (u, field.dq_dphi), "damping rate")
     rows = relax * drift + (cos_t + tb) * cos_t / sin_t**2 * azimuthal
     sigma = 0.5 * bath.gamma_bar * pref * grid.integrate_rows(rows)
-    phi = damping_flux(field, bath.gamma_bar, tb, damping_stationary_populations(j, bath.nbar))
+    phi = damping_flux(field, bath.gamma_bar, tb, channel.stationary_populations)
     return EpReport(sigma_dot=sigma, phi_dot=phi, ds_dt=sigma - phi, route="quadrature", warnings=notes)
 
 

@@ -21,10 +21,6 @@ class UnreachableCoherence(RuntimeError):
     """Random-state search could not reach the requested coherence."""
 
 
-class DetailedBalanceError(ValueError):
-    """Declared inverse temperature is inconsistent with the jump rates."""
-
-
 class BasisError(ValueError):
     """Operation requires a Hamiltonian diagonal in the working basis."""
 

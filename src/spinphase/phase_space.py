@@ -86,6 +86,8 @@ class SphereGrid:
     """
 
     def __init__(self, n_theta: int = 64, n_phi: int = 64):
+        if not all(isinstance(n, (int, np.integer)) for n in (n_theta, n_phi)):
+            raise TypeError(f"grid sizes must be integers, got {n_theta!r} x {n_phi!r}")
         if n_theta < 2 or n_phi < 4:
             raise ValueError(f"grid too small: {n_theta} x {n_phi}")
         self.n_theta = int(n_theta)
@@ -298,6 +300,8 @@ def husimi_q(rho: np.ndarray, omega: SolidAngle) -> float:
     theta, phi = omega
     if not (0.0 <= theta <= math.pi):
         raise RangeError(f"theta must lie in [0, pi], got {theta}")
+    if not math.isfinite(phi):
+        raise RangeError(f"phi must be finite, got {phi}")
     j = SpinJ(rho.shape[0] - 1)
     # Q = u^H rho u with u_r = <J, J - r|Omega> up to a global phase: a_r e^{i r phi}
     u = _amplitude_table(j, np.array([theta]), orders=1)[0, :, 0] * np.exp(1j * np.arange(j.dim) * phi)
@@ -376,7 +380,7 @@ def dissipator_field(field: HusimiField, channel) -> np.ndarray:
 
     -(gamma_bar/4)(j- j+ + j+ j-) Q at tau_bar_z = 0, and expanded over the
     k >= 0 components of Q it is the per-k d_k of the module docstring.
-    Unitary and Davies channels raise TypeError.  A field exists only on a
+    A unitary channel raises TypeError.  A field exists only on a
     grid at or above the band limit n_theta >= 2J + 1, n_phi >= 4J + 1
     (BandLimitError otherwise).
     """

@@ -14,7 +14,6 @@ from scipy.linalg import expm
 
 from conftest import column, load_csv
 from spinphase import (
-    AmplitudeDampingChannel,
     BathParams,
     DephasingChannel,
     PurityDivergence,
@@ -67,16 +66,17 @@ def random_rho(rng, d):
 
 def test_criterion_01_dephasing_route_equivalence():
     grid = SphereGrid(128, 128)
+    chan = DephasingChannel(lam=1.0, ops=OPS)
     rng = np.random.default_rng(101)
     worst = 0.0
     for tau in random_bloch_ball(rng, 100):
         closed = ep_qubit_dephasing_closed(tau, 1.0)
-        quad = ep_rate_dephasing_quad(husimi_field(bloch_to_rho(tau), grid), 1.0, QUBIT).sigma_dot
+        quad = ep_rate_dephasing_quad(husimi_field(bloch_to_rho(tau), grid), chan).sigma_dot
         worst = max(worst, abs(quad - closed) / max(closed, 1e-12))
     assert worst < 1e-6
 
     closed = ep_qubit_dephasing_closed([0.6, 0.0, 0.0], 1.0)
-    quad = ep_rate_dephasing_quad(husimi_field(bloch_to_rho([0.6, 0.0, 0.0]), grid), 1.0, QUBIT).sigma_dot
+    quad = ep_rate_dephasing_quad(husimi_field(bloch_to_rho([0.6, 0.0, 0.0]), grid), chan).sigma_dot
     assert closed == pytest.approx(DEPH_ANCHOR, abs=1e-6)
     assert quad == pytest.approx(DEPH_ANCHOR, abs=1e-6)
     print(f"PASS criterion 1: dephasing routes agree, worst rel err {worst:.3e}")
@@ -85,16 +85,17 @@ def test_criterion_01_dephasing_route_equivalence():
 def test_criterion_02_damping_route_equivalence():
     grid = SphereGrid(128, 128)
     bath = BathParams.from_nbar(1.0, 0.5)
+    chan = bath.channel(OPS)
     rng = np.random.default_rng(102)
     worst = 0.0
     for tau in random_bloch_ball(rng, 100):
         closed = ep_qubit_damping_closed(tau, bath)
-        quad = ep_rate_damping_quad(husimi_field(bloch_to_rho(tau), grid), bath, QUBIT).sigma_dot
+        quad = ep_rate_damping_quad(husimi_field(bloch_to_rho(tau), grid), chan).sigma_dot
         worst = max(worst, abs(quad - closed) / max(closed, 1e-12))
     assert worst < 1e-6
 
     closed = ep_qubit_damping_closed([0.0, 0.0, 0.0], bath)
-    quad = ep_rate_damping_quad(husimi_field(bloch_to_rho([0.0, 0.0, 0.0]), grid), bath, QUBIT).sigma_dot
+    quad = ep_rate_damping_quad(husimi_field(bloch_to_rho([0.0, 0.0, 0.0]), grid), chan).sigma_dot
     assert closed == pytest.approx(DAMP_ANCHOR, abs=1e-6)
     assert quad == pytest.approx(DAMP_ANCHOR, abs=1e-6)
     print(f"PASS criterion 2: damping routes agree, worst rel err {worst:.3e}")
@@ -103,11 +104,12 @@ def test_criterion_02_damping_route_equivalence():
 def test_criterion_03_pure_dephasing_quadrature_stays_finite():
     # the quadrature route reaches the pure rim where the vN route diverges
     grid = SphereGrid(512, 512)
+    chan = DephasingChannel(lam=1.0, ops=OPS)
     worst = 0.0
     for k in range(1, 8):
         theta = k * math.pi / 8.0
         tau = [math.sin(theta), 0.0, math.cos(theta)]
-        quad = ep_rate_dephasing_quad(husimi_field(bloch_to_rho(tau), grid), 1.0, QUBIT).sigma_dot
+        quad = ep_rate_dephasing_quad(husimi_field(bloch_to_rho(tau), grid), chan).sigma_dot
         worst = max(worst, abs(quad - 0.25 * math.sin(theta) ** 2))
         with pytest.raises(PurityDivergence):
             ep_vn_qubit_dephasing(tau, 1.0)
@@ -121,19 +123,21 @@ def test_criterion_04_nonnegative_production():
     floor = 0.0
     for two_j in (1, 2):
         j = SpinJ(two_j)
+        ops = make_spin_operators(j)
+        dephasing, damping = DephasingChannel(lam=1.0, ops=ops), bath.channel(ops)
         rng = np.random.default_rng(104 + two_j)
         for _ in range(1000):
             field = husimi_field(random_rho(rng, j.dim), grid)
-            s_deph = ep_rate_dephasing_quad(field, 1.0, j).sigma_dot
-            s_damp = ep_rate_damping_quad(field, bath, j).sigma_dot
+            s_deph = ep_rate_dephasing_quad(field, dephasing).sigma_dot
+            s_damp = ep_rate_damping_quad(field, damping).sigma_dot
             floor = min(floor, s_deph, s_damp)
     assert floor >= -1e-10
 
-    # Spohn inequality on the vN route for the thermal Davies map
+    # Spohn inequality on the vN route for the thermal damping map
     vn_floor = 0.0
     for two_j in (1, 2):
         j = SpinJ(two_j)
-        chan = AmplitudeDampingChannel(gamma=1.0, nbar=0.5, ops=make_spin_operators(j))
+        chan = bath.channel(make_spin_operators(j))
         rho_eq = damping_stationary_state(j, 0.5)
         rng = np.random.default_rng(114 + two_j)
         for _ in range(100):
@@ -154,16 +158,13 @@ def test_criterion_05_wehrl_balance_against_finite_difference():
         else:
             rho = random_state_with_coherence(3, 0.5, seed=7)
         for chan, report_of in (
-            (DephasingChannel(lam=1.0, ops=ops), lambda f: ep_rate_dephasing_quad(f, 1.0, j)),
-            (
-                AmplitudeDampingChannel(gamma=1.0, nbar=0.5, ops=ops),
-                lambda f: ep_rate_damping_quad(f, BathParams.from_nbar(1.0, 0.5), j),
-            ),
+            (DephasingChannel(lam=1.0, ops=ops), ep_rate_dephasing_quad),
+            (BathParams.from_nbar(1.0, 0.5).channel(ops), ep_rate_damping_quad),
         ):
             traj = evolve(chan, rho, 2.0 * dt, 2)
             s0 = wehrl_entropy(husimi_field(traj.states[0], grid))
             s2 = wehrl_entropy(husimi_field(traj.states[2], grid))
-            report = report_of(husimi_field(traj.states[1], grid))
+            report = report_of(husimi_field(traj.states[1], grid), chan)
             worst = max(worst, abs((s2 - s0) / (2.0 * dt) - report.ds_dt))
     assert worst < 1e-4
     print(f"PASS criterion 5: Wehrl balance matches finite differences, worst abs err {worst:.3e}")
@@ -177,10 +178,10 @@ def test_criterion_06_thermal_state_is_silent():
     worst_gen = worst_rate = 0.0
     for two_j in (1, 2):
         j = SpinJ(two_j)
-        chan = AmplitudeDampingChannel(gamma=1.0, nbar=0.5, ops=make_spin_operators(j))
+        chan = bath.channel(make_spin_operators(j))
         rho_eq = damping_stationary_state(j, 0.5)
         worst_gen = max(worst_gen, float(np.abs(apply_liouvillian(chan, rho_eq)).max()))
-        report = ep_rate_damping_quad(husimi_field(rho_eq, grid), bath, j)
+        report = ep_rate_damping_quad(husimi_field(rho_eq, grid), chan)
         worst_rate = max(worst_rate, abs(report.sigma_dot), abs(report.phi_dot))
     assert worst_gen < 1e-10
     assert worst_rate < 1e-9
@@ -231,7 +232,7 @@ def test_criterion_09_vn_rate_equals_relative_entropy_decay():
     worst = 0.0
     for two_j, rho0 in ((1, bloch_to_rho([0.5, 0.2, 0.3])), (2, random_state_with_coherence(3, 0.5, seed=9))):
         j = SpinJ(two_j)
-        chan = AmplitudeDampingChannel(gamma=1.0, nbar=0.5, ops=make_spin_operators(j))
+        chan = BathParams.from_nbar(1.0, 0.5).channel(make_spin_operators(j))
         rho_eq = damping_stationary_state(j, 0.5)
         traj = evolve(chan, rho0, 2.0, 2000)
         dt = traj.times[1] - traj.times[0]
@@ -247,7 +248,7 @@ def test_criterion_09_vn_rate_equals_relative_entropy_decay():
 
 
 def test_criterion_10_classical_plus_coherence_splits_the_vn_rate():
-    chan = AmplitudeDampingChannel(gamma=1.0, nbar=0.5, ops=OPS)
+    chan = BathParams.from_nbar(1.0, 0.5).channel(OPS)
     rho_eq = damping_stationary_state(QUBIT, 0.5)
     rates = pauli_rates_from_davies(chan)
     traj = evolve(chan, bloch_to_rho([0.5, 0.0, 0.2]), 2.0, 2000)

@@ -366,6 +366,9 @@ QUBIT_EVOLVE = ["evolve", "--bloch", "0.5,0,0", "--tmax", "0.1", "--steps", "2",
         ([*QUBIT_SWEEP, "--tau-bar-z", "0"], "--tau-bar-z"),
         ([*QUBIT_EVOLVE, "--channel", "dephasing", "--lambda", "1", "--gamma", "1"], "--gamma"),
         ([*QUBIT_EVOLVE, "--channel", "damping", "--gamma", "1", "--nbar", "0.5", "--lambda", "1"], "--lambda"),
+        # a qubit sweep reads only tau_z of --bloch, so a transverse part would be recorded but never used
+        ([*QUBIT_SWEEP, "--bloch", "0.3,0.1,0.2"], "--bloch"),
+        ([*QUBIT_SWEEP, "--bloch", "0,-0.2,0"], "--bloch"),
     ],
 )
 def test_a_flag_the_command_never_reads_is_a_named_error(tmp_path, capsys, argv, flag):

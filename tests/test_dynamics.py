@@ -7,10 +7,8 @@ import pytest
 from spinphase import (
     AmplitudeDampingChannel,
     BasisError,
-    DaviesChannel,
-    DaviesPair,
+    BathParams,
     DephasingChannel,
-    DetailedBalanceError,
     DimensionError,
     PositivityWarning,
     SpinJ,
@@ -18,13 +16,11 @@ from spinphase import (
     Trajectory,
     UnitaryChannel,
     ZeroRateError,
-    amplitude_damping_dissipator,
     apply_liouvillian,
     bloch_to_rho,
     classical_ep_rate,
     coherence_ep_rate,
     damping_stationary_state,
-    davies_dissipator,
     dephasing_dissipator,
     evolve,
     make_spin_operators,
@@ -38,6 +34,14 @@ from spinphase.spins import PAULI_X
 
 QUBIT = SpinJ(1)
 OPS = make_spin_operators(QUBIT)
+
+
+def damping(gamma, nbar, ops=OPS, hamiltonian=None):
+    return AmplitudeDampingChannel(BathParams.from_nbar(gamma, nbar), ops, hamiltonian)
+
+
+def infinite_temperature(gamma_bar, ops=OPS, hamiltonian=None):
+    return AmplitudeDampingChannel(BathParams.from_tau_bar(gamma_bar, 0.0), ops, hamiltonian)
 
 
 def random_rho(rng, d):
@@ -67,7 +71,7 @@ def test_damping_dark_state_at_zero_nbar():
     ops = make_spin_operators(SpinJ(2))
     ground = np.zeros((3, 3), dtype=complex)
     ground[2, 2] = 1.0
-    out = amplitude_damping_dissipator(1.7, 0.0, ops, ground)
+    out = damping(1.7, 0.0, ops).dissipator(ground)
     assert np.abs(out).max() < 1e-15
 
 
@@ -77,7 +81,7 @@ def test_damping_qubit_bloch_rates():
     gamma_bar = gamma * (2 * nbar + 1)
     tau_bar_z = -gamma / gamma_bar
     rho = bloch_to_rho([0.6, 0.0, 0.2])
-    out = amplitude_damping_dissipator(gamma, nbar, OPS, rho)
+    out = damping(gamma, nbar).dissipator(rho)
     drift = 2.0 * np.array(
         [np.real(out[0, 1]), -np.imag(out[0, 1]), np.real(out[0, 0])]
     )
@@ -92,7 +96,7 @@ def test_damping_stationary_state_is_dark():
     for two_j in (1, 2, 4):
         ops = make_spin_operators(SpinJ(two_j))
         rho_eq = damping_stationary_state(SpinJ(two_j), 0.5)
-        out = amplitude_damping_dissipator(0.8, 0.5, ops, rho_eq)
+        out = damping(0.8, 0.5, ops).dissipator(rho_eq)
         assert np.abs(out).max() < 1e-14
 
 
@@ -106,10 +110,10 @@ def test_damping_stationary_populations_follow_boltzmann_ratio():
 
 
 def test_infinite_temperature_channel():
-    chan = AmplitudeDampingChannel.infinite_temperature(1.2, OPS)
-    assert math.isinf(chan.nbar)
-    assert chan.gamma_bar == pytest.approx(1.2)
-    assert chan.tau_bar_z == pytest.approx(0.0)
+    chan = infinite_temperature(1.2)
+    assert math.isinf(chan.bath.nbar)
+    assert chan.bath.gamma_bar == pytest.approx(1.2)
+    assert chan.bath.tau_bar_z == pytest.approx(0.0)
     out = dissipator_of(chan, np.eye(2, dtype=complex) / 2.0)
     assert np.abs(out).max() < 1e-14
 
@@ -117,43 +121,6 @@ def test_infinite_temperature_channel():
 def dissipator_of(chan, rho):
     # dissipator only, no Hamiltonian part
     return apply_liouvillian(chan, rho)
-
-
-def test_davies_matches_amplitude_damping():
-    gamma, nbar = 0.7, 0.3
-    chan = AmplitudeDampingChannel(gamma=gamma, nbar=nbar, ops=OPS)
-    pairs = (
-        DaviesPair(l_minus=OPS.jminus, gamma_minus=gamma * (nbar + 1.0), gamma_plus=gamma * nbar, omega=1.0),
-    )
-    davies = DaviesChannel(pairs=pairs)
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        rho = random_rho(rng, 2)
-        np.testing.assert_allclose(
-            davies_dissipator(davies, rho),
-            amplitude_damping_dissipator(gamma, nbar, OPS, rho),
-            atol=1e-12,
-        )
-
-
-def test_davies_with_beta_fixes_rate_ratio():
-    seed = DaviesPair(l_minus=OPS.jminus, gamma_minus=0.9, gamma_plus=0.0, omega=1.4)
-    pairs = DaviesChannel.with_beta([seed], beta=0.8).pairs
-    assert pairs[0].gamma_plus / pairs[0].gamma_minus == pytest.approx(math.exp(-0.8 * 1.4), rel=1e-12)
-
-
-def test_davies_rejects_broken_detailed_balance():
-    # a declared beta pins the rate ratio; inconsistent pairs are refused
-    with pytest.raises(DetailedBalanceError):
-        DaviesChannel(
-            pairs=(DaviesPair(l_minus=OPS.jminus, gamma_minus=0.0, gamma_plus=0.5, omega=1.0),),
-            beta=1.0,
-        )
-    with pytest.raises(DetailedBalanceError):
-        DaviesChannel(
-            pairs=(DaviesPair(l_minus=OPS.jminus, gamma_minus=1.0, gamma_plus=0.9, omega=1.0),),
-            beta=1.0,
-        )
 
 
 def test_apply_liouvillian_shape_guard():
@@ -182,7 +149,7 @@ def test_evolve_unitary_precession():
 
 def test_evolve_matches_qubit_damping_solution():
     gamma, nbar = 1.0, 0.5
-    chan = AmplitudeDampingChannel(gamma=gamma, nbar=nbar, ops=OPS)
+    chan = damping(gamma, nbar)
     rng = np.random.default_rng(4)
     for _ in range(10):
         tau0 = rng.uniform(-0.5, 0.5, size=3)
@@ -217,7 +184,7 @@ def test_damping_bloch_long_time_fixed_point():
 
 
 def test_evolve_keeps_states_physical():
-    chan = AmplitudeDampingChannel(gamma=1.0, nbar=0.2, ops=OPS)
+    chan = damping(1.0, 0.2)
     traj = evolve(chan, bloch_to_rho([0.7, 0.0, 0.1]), 4.0, 200)
     for rho in traj.states:
         assert abs(np.trace(rho).real - 1.0) < 1e-10
@@ -233,7 +200,7 @@ def test_evolve_diagonal_dephasing_populations_frozen():
 
 
 def test_evolve_halved_step_agreement():
-    chan = AmplitudeDampingChannel(gamma=1.0, nbar=0.5, ops=OPS)
+    chan = damping(1.0, 0.5)
     rho0 = bloch_to_rho([0.5, 0.2, 0.3])
     coarse = evolve(chan, rho0, 2.0, 200)
     fine = evolve(chan, rho0, 2.0, 400)
@@ -257,7 +224,7 @@ def test_evolve_warns_when_step_breaks_positivity():
 
 def test_pauli_rates_qubit_damping():
     gamma, nbar = 1.0, 0.5
-    rates = pauli_rates_from_davies(AmplitudeDampingChannel(gamma=gamma, nbar=nbar, ops=OPS))
+    rates = pauli_rates_from_davies(damping(gamma, nbar))
     # w[n, k] is the rate of the jump k -> n; index 0 is the upper state
     assert rates.w[1, 0] == pytest.approx(gamma * (nbar + 1.0), abs=1e-14)
     assert rates.w[0, 1] == pytest.approx(gamma * nbar, abs=1e-14)
@@ -267,32 +234,25 @@ def test_pauli_rates_qubit_damping():
 def test_pauli_rates_detailed_balance_ratio():
     nbar = 0.5
     beta_omega = math.log((nbar + 1.0) / nbar)
-    rates = pauli_rates_from_davies(AmplitudeDampingChannel(gamma=2.0, nbar=nbar, ops=OPS))
+    rates = pauli_rates_from_davies(damping(2.0, nbar))
     assert rates.w[0, 1] / rates.w[1, 0] == pytest.approx(math.exp(-beta_omega), rel=1e-12)
 
 
-def test_pauli_rates_dephasing_collapse_to_zero():
-    pairs = (DaviesPair(l_minus=OPS.jz, gamma_minus=1.0, gamma_plus=1.0, omega=0.0),)
-    rates = pauli_rates_from_davies(DaviesChannel(pairs=pairs))
-    off = rates.w - np.diag(np.diag(rates.w))
-    assert np.abs(off).max() == 0.0
-
-
 def test_pauli_rates_reject_nondiagonal_hamiltonian():
-    chan = AmplitudeDampingChannel(gamma=1.0, nbar=0.0, ops=OPS, hamiltonian=PAULI_X)
+    chan = damping(1.0, 0.0, hamiltonian=PAULI_X)
     with pytest.raises(BasisError):
         pauli_rates_from_davies(chan)
 
 
 def test_classical_ep_rate_worked_value():
-    rates = pauli_rates_from_davies(AmplitudeDampingChannel(gamma=1.0, nbar=0.5, ops=OPS))
+    rates = pauli_rates_from_davies(damping(1.0, 0.5))
     # w(1|0) = 1.5, w(0|1) = 0.5, equal populations
     value = classical_ep_rate(rates, [0.5, 0.5])
     assert value == pytest.approx(0.5 * math.log(3.0), abs=1e-12)
 
 
 def test_classical_ep_rate_zero_at_detailed_balance():
-    rates = pauli_rates_from_davies(AmplitudeDampingChannel(gamma=1.0, nbar=0.5, ops=OPS))
+    rates = pauli_rates_from_davies(damping(1.0, 0.5))
     p_eq = np.real(np.diag(damping_stationary_state(QUBIT, 0.5)))
     assert classical_ep_rate(rates, p_eq) == pytest.approx(0.0, abs=1e-14)
 
@@ -328,7 +288,7 @@ def test_classical_ep_rate_input_guards():
 
 def test_coherence_ep_rate_diagonal_trajectory_is_zero():
     rho0 = np.diag([0.6, 0.4]).astype(complex)
-    traj = evolve(AmplitudeDampingChannel(gamma=1.0, nbar=0.5, ops=OPS), rho0, 1.0, 50)
+    traj = evolve(damping(1.0, 0.5), rho0, 1.0, 50)
     np.testing.assert_allclose(coherence_ep_rate(traj), 0.0, atol=1e-10)
 
 
@@ -364,19 +324,21 @@ def rk4_oracle(spec, rho0, t_max, n_steps):
 
 
 def channel_zoo(two_j):
-    """One channel of every kind at spin two_j / 2, each with a Hamiltonian where the kind takes one."""
+    """One channel of every kind at spin two_j / 2, most with a Hamiltonian.
+
+    davies is the damping channel in Davies form: H = omega jz, whose
+    levels J- and J+ step down and up by omega, and the bath occupation
+    nbar = 1 / (exp(beta omega) - 1) at inverse temperature beta.
+    """
     ops = make_spin_operators(SpinJ(two_j))
     ham = ops.jx + 0.3 * ops.jz
-    pairs = (
-        DaviesPair(l_minus=ops.jminus, gamma_minus=0.6, gamma_plus=0.0, omega=1.0),
-        DaviesPair(l_minus=ops.jz, gamma_minus=0.2, gamma_plus=0.0, omega=0.0),
-    )
+    omega, beta = 1.0, 0.8
     return {
         "unitary": UnitaryChannel(hamiltonian=ham),
         "dephasing": DephasingChannel(lam=0.5, ops=ops, hamiltonian=ham),
-        "damping": AmplitudeDampingChannel(gamma=0.7, nbar=0.5, ops=ops),
-        "damping_infinite_t": AmplitudeDampingChannel.infinite_temperature(0.9, ops),
-        "davies": DaviesChannel.with_beta(pairs, beta=0.8, hamiltonian=ops.jz),
+        "damping": damping(0.7, 0.5, ops, ham),
+        "damping_infinite_t": infinite_temperature(0.9, ops),
+        "davies": damping(0.6, 1.0 / math.expm1(beta * omega), ops, omega * ops.jz),
     }
 
 
@@ -406,7 +368,7 @@ def test_evolve_warns_on_coarse_damping_of_a_pure_state():
     top = np.zeros((9, 9), dtype=complex)
     top[0, 0] = 1.0
     with pytest.warns(PositivityWarning, match="minimum eigenvalue reached"):
-        evolve(AmplitudeDampingChannel(gamma=1.0, nbar=0.5, ops=ops), top, 2.0, 40)
+        evolve(damping(1.0, 0.5, ops), top, 2.0, 40)
 
 
 def test_evolve_generator_calls_do_not_grow_with_steps(monkeypatch):
@@ -418,7 +380,7 @@ def test_evolve_generator_calls_do_not_grow_with_steps(monkeypatch):
         return original(spec, rho)
 
     monkeypatch.setattr(dynamics, "apply_liouvillian", counted)
-    chan = AmplitudeDampingChannel(gamma=1.0, nbar=0.5, ops=OPS)
+    chan = damping(1.0, 0.5)
     rho0 = bloch_to_rho([0.5, 0.2, 0.3])
     evolve(chan, rho0, 1.0, 2)
     short = len(calls)
@@ -429,13 +391,12 @@ def test_evolve_generator_calls_do_not_grow_with_steps(monkeypatch):
 def test_channel_generator_is_built_once_read_only_and_equals_the_liouvillian(monkeypatch):
     ops = make_spin_operators(SpinJ(4))
     d = 5
-    pair = DaviesPair(l_minus=ops.jminus, gamma_minus=0.8, gamma_plus=0.3, omega=0.0)
     channels = [
         UnitaryChannel(hamiltonian=ops.jx),
         DephasingChannel(lam=0.7, ops=ops, hamiltonian=0.4 * ops.jx),
-        AmplitudeDampingChannel(gamma=0.6, nbar=0.4, ops=ops, hamiltonian=0.3 * ops.jz),
-        AmplitudeDampingChannel.infinite_temperature(0.9, ops),
-        DaviesChannel(pairs=[pair], hamiltonian=ops.jz),
+        damping(0.6, 0.4, ops, 0.3 * ops.jz),
+        infinite_temperature(0.9, ops),
+        damping(0.8, 0.0, ops, ops.jz),
     ]
     original = dynamics.apply_liouvillian
     calls = []
@@ -498,10 +459,10 @@ def oracle_cases():
     return {
         "unitary_20000_steps": (closed, bloch_to_rho([0.6, 0.2, 0.3]), 2000.0, 20000, 1e-12),
         "fig1_closed": (closed, up, 20.0, 2000, 1e-13),
-        "fig1_damped": (AmplitudeDampingChannel(gamma=0.5, nbar=0.5, ops=OPS), up, 20.0, 2000, 1e-13),
+        "fig1_damped": (damping(0.5, 0.5), up, 20.0, 2000, 1e-13),
         "davies_spin4": (channel_zoo(8)["davies"], rho, 5.0, 500, 1e-13),
         "damping_spin4_with_h": (
-            AmplitudeDampingChannel(gamma=0.7, nbar=0.5, ops=ops, hamiltonian=ops.jx + 0.3 * ops.jz),
+            damping(0.7, 0.5, ops, ops.jx + 0.3 * ops.jz),
             rho, 5.0, 500, 1e-13,
         ),
     }
@@ -522,4 +483,4 @@ def test_divergent_step_map_is_a_named_step_count_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(StepCountError, match="200 steps .* too coarse for this channel"):
-            evolve(AmplitudeDampingChannel(gamma=1.0, nbar=0.5, ops=ops), rho0, 50.0, 200)
+            evolve(damping(1.0, 0.5, ops), rho0, 50.0, 200)

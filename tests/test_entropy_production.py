@@ -11,8 +11,6 @@ from spinphase import dynamics
 from spinphase import (
     AmplitudeDampingChannel,
     BathParams,
-    DaviesChannel,
-    DaviesPair,
     DephasingChannel,
     BlochNormError,
     DimensionError,
@@ -72,17 +70,17 @@ def test_bath_params_infinite_temperature():
     assert math.isinf(bath.nbar)
     chan = bath.channel(OPS)
     assert isinstance(chan, AmplitudeDampingChannel)
-    assert chan.gamma_bar == pytest.approx(1.4)
+    assert chan.bath is bath
 
 
 def test_bath_has_one_value():
-    # the damping channel reads its rates from one BathParams, so both agree
-    assert AmplitudeDampingChannel(gamma=0.0, nbar=0.5, ops=OPS).tau_bar_z == -1.0 / (2 * 0.5 + 1)
+    # the damping channel carries the one BathParams it was built from and reads its rates there
     assert BathParams.from_nbar(0.0, 0.5).tau_bar_z == -1.0 / (2 * 0.5 + 1)
-    for tau_bar_z in (-1.0, -0.9, -0.3, -0.1, 0.0):
-        bath = BathParams.from_tau_bar(1.0, tau_bar_z)
+    baths = [BathParams.from_nbar(0.0, 0.5)] + [BathParams.from_tau_bar(1.0, t) for t in (-1.0, -0.9, -0.3, -0.1, 0.0)]
+    for bath in baths:
         chan = bath.channel(OPS)
-        assert (chan.gamma_bar, chan.tau_bar_z) == (bath.gamma_bar, bath.tau_bar_z)
+        assert chan.bath is bath
+        assert AmplitudeDampingChannel(bath, OPS).bath is bath
 
 
 def test_bath_params_validation():
@@ -220,7 +218,8 @@ def test_quadrature_dephasing_null_on_diagonal():
     for two_j in (1, 2, 3, 4):
         j = SpinJ(two_j)
         pops = np.random.default_rng(two_j).dirichlet(np.ones(j.dim))
-        report = ep_rate_dephasing_quad(husimi_field(np.diag(pops.astype(complex)), grid), 1.0, j)
+        chan = DephasingChannel(lam=1.0, ops=make_spin_operators(j))
+        report = ep_rate_dephasing_quad(husimi_field(np.diag(pops.astype(complex)), grid), chan)
         assert abs(report.sigma_dot) < 1e-12
         assert report.phi_dot == 0.0
 
@@ -229,13 +228,14 @@ def test_quadrature_matches_closed_form_spot():
     grid = SphereGrid(96, 96)
     rng = np.random.default_rng(2)
     bath = BathParams.from_nbar(1.0, 0.5)
+    dephasing, damping = DephasingChannel(lam=1.0, ops=OPS), bath.channel(OPS)
     for _ in range(10):
         tau = rng.uniform(-0.5, 0.5, size=3)
         field = husimi_field(bloch_to_rho(tau), grid)
-        deph = ep_rate_dephasing_quad(field, 1.0, QUBIT)
+        deph = ep_rate_dephasing_quad(field, dephasing)
         expected = ep_qubit_dephasing_closed(tau, 1.0)
         assert abs(deph.sigma_dot - expected) / max(expected, 1e-12) < 1e-6
-        damp = ep_rate_damping_quad(field, bath, QUBIT)
+        damp = ep_rate_damping_quad(field, damping)
         expected = ep_qubit_damping_closed(tau, bath)
         assert abs(damp.sigma_dot - expected) / max(expected, 1e-12) < 1e-6
 
@@ -244,7 +244,7 @@ def test_quadrature_report_balance():
     grid = SphereGrid(64, 64)
     bath = BathParams.from_nbar(1.0, 0.5)
     field = husimi_field(bloch_to_rho([0.4, 0.1, -0.2]), grid)
-    report = ep_rate_damping_quad(field, bath, QUBIT)
+    report = ep_rate_damping_quad(field, bath.channel(OPS))
     assert isinstance(report, EpReport)
     assert report.route == "quadrature"
     assert report.ds_dt == pytest.approx(report.sigma_dot - report.phi_dot, abs=1e-9)
@@ -263,10 +263,11 @@ def test_sigma_only_damping_rate_is_the_full_reports_sigma(two_j, nbar, pure):
         rho[0, 0] = 1.0
     else:
         rho = random_state_with_coherence(j.dim, 0.3, seed=4)
+    chan = bath.channel(make_spin_operators(j))
     field = husimi_field(rho, SphereGrid(32, 32))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", QFloorWarning)
-        report = ep_rate_damping_quad(field, bath, j)
+        report = ep_rate_damping_quad(field, chan)
     assert bool(report.warnings) == pure
     assert [str(w.message) for w in caught] == list(report.warnings)
     assert report.ds_dt == report.sigma_dot - report.phi_dot
@@ -303,6 +304,7 @@ def parent_integrand_rates(field, bath, lam):
 def test_rates_match_their_full_grid_integrands(two_j, n):
     # the row-sum forms against the node-by-node integrands, on full-rank states: measured <= 3.3e-16 relative
     j = SpinJ(two_j)
+    ops = make_spin_operators(j)
     grid = SphereGrid(n, n)
     rng = np.random.default_rng(500 + two_j)
     lam = 0.7
@@ -311,8 +313,9 @@ def test_rates_match_their_full_grid_integrands(two_j, n):
         field = husimi_field(random_full_rank(rng, j.dim), grid)
         damping, dephasing, wehrl, excluded = parent_integrand_rates(field, bath, lam)
         assert excluded == 0.0
-        assert ep_rate_damping_quad(field, bath, j).sigma_dot == pytest.approx(damping, rel=1e-13, abs=0.0)
-        assert ep_rate_dephasing_quad(field, lam, j).sigma_dot == pytest.approx(dephasing, rel=1e-13, abs=0.0)
+        assert ep_rate_damping_quad(field, bath.channel(ops)).sigma_dot == pytest.approx(damping, rel=1e-13, abs=0.0)
+        sigma = ep_rate_dephasing_quad(field, DephasingChannel(lam=lam, ops=ops)).sigma_dot
+        assert sigma == pytest.approx(dephasing, rel=1e-13, abs=0.0)
         assert wehrl_entropy(field) == pytest.approx(wehrl, rel=1e-13, abs=0.0)
 
 
@@ -322,12 +325,13 @@ def test_floored_rates_match_their_full_grid_integrands():
     j = SpinJ(8)
     vec = coherent_amplitudes(j, 1.1).amplitudes * np.exp(0.7j * np.arange(j.dim))
     field = husimi_field(np.outer(vec, vec.conj()), SphereGrid(64, 64))
+    ops = make_spin_operators(j)
     bath = BathParams.from_nbar(1.0, 0.5)
     damping, dephasing, wehrl, excluded = parent_integrand_rates(field, bath, 1.0)
     assert excluded > 0.0
     for rate, expected, context in (
-        (lambda: ep_rate_damping_quad(field, bath, j), damping, "damping rate"),
-        (lambda: ep_rate_dephasing_quad(field, 1.0, j), dephasing, "dephasing rate"),
+        (lambda: ep_rate_damping_quad(field, bath.channel(ops)), damping, "damping rate"),
+        (lambda: ep_rate_dephasing_quad(field, DephasingChannel(lam=1.0, ops=ops)), dephasing, "dephasing rate"),
     ):
         note = f"{context}: excluded weight {excluded:.3e} below Husimi floor"
         with pytest.warns(QFloorWarning) as caught:
@@ -373,11 +377,12 @@ def test_damping_flux_matches_the_mpmath_oracle(two_j, nbar):
     # measured <= 5.4e-14 relative over four draws; at n_bar = inf the weight vanishes and both read 0
     j = SpinJ(two_j)
     bath = BathParams.from_tau_bar(1.0, 0.0) if math.isinf(nbar) else BathParams.from_nbar(1.0, nbar)
+    chan = bath.channel(make_spin_operators(j))
     rho = random_full_rank(np.random.default_rng(two_j), j.dim)
     p_eq = damping_stationary_state(j, nbar).diagonal().real
     expected = flux_oracle(two_j, bath, rho.diagonal().real, p_eq)
     for grid in (SphereGrid(32, 32), SphereGrid(128, 128)):
-        phi = ep_rate_damping_quad(husimi_field(rho, grid), bath, j).phi_dot
+        phi = ep_rate_damping_quad(husimi_field(rho, grid), chan).phi_dot
         assert abs(phi - expected) <= 1e-12 * abs(expected)
 
 
@@ -390,7 +395,7 @@ def test_damping_flux_of_a_pure_qubit_is_grid_stable():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", QFloorWarning)
         grids = [SphereGrid(n, n) for n in (16, 32, 64, 128, 256)]
-        fluxes = [ep_rate_damping_quad(husimi_field(rho, grid), bath, QUBIT).phi_dot for grid in grids]
+        fluxes = [ep_rate_damping_quad(husimi_field(rho, grid), bath.channel(OPS)).phi_dot for grid in grids]
     assert max(fluxes) - min(fluxes) <= 1e-14
     p_eq = damping_stationary_state(QUBIT, bath.nbar).diagonal().real
     expected = flux_oracle(1, bath, rho.diagonal().real, p_eq)
@@ -413,7 +418,7 @@ def test_damping_balance_against_the_dissipative_wehrl_rate(two_j, nbar):
     for _ in range(2):
         rho = 0.75 * random_full_rank(rng, j.dim) + 0.25 * np.eye(j.dim) / j.dim
         field = husimi_field(rho, grid)
-        report = ep_rate_damping_quad(field, bath, j)
+        report = ep_rate_damping_quad(field, channel)
         ds_dt = wehrl_rate_dissipative(field, channel)
         scale = max(abs(report.sigma_dot), abs(report.phi_dot), abs(ds_dt))
         assert abs(report.sigma_dot - report.phi_dot - ds_dt) <= 1e-12 * scale
@@ -422,7 +427,7 @@ def test_damping_balance_against_the_dissipative_wehrl_rate(two_j, nbar):
 def test_quadrature_dephasing_flux_free():
     grid = SphereGrid(64, 64)
     field = husimi_field(bloch_to_rho([0.5, 0.0, 0.3]), grid)
-    report = ep_rate_dephasing_quad(field, 1.0, QUBIT)
+    report = ep_rate_dephasing_quad(field, DephasingChannel(lam=1.0, ops=OPS))
     assert report.phi_dot == 0.0
     assert report.ds_dt == report.sigma_dot
 
@@ -431,7 +436,7 @@ def test_quadrature_damping_thermal_state_silent():
     grid = SphereGrid(64, 64)
     bath = BathParams.from_nbar(1.0, 0.5)
     field = husimi_field(bloch_to_rho([0.0, 0.0, bath.tau_bar_z]), grid)
-    report = ep_rate_damping_quad(field, bath, QUBIT)
+    report = ep_rate_damping_quad(field, bath.channel(OPS))
     assert abs(report.sigma_dot) < 1e-9
     assert abs(report.phi_dot) < 1e-9
 
@@ -441,7 +446,7 @@ def test_quadrature_infinite_temperature_branch():
     bath = BathParams.from_tau_bar(1.0, 0.0)
     tau = [0.5, 0.1, 0.2]
     field = husimi_field(bloch_to_rho(tau), grid)
-    report = ep_rate_damping_quad(field, bath, QUBIT)
+    report = ep_rate_damping_quad(field, bath.channel(OPS))
     expected = ep_qubit_damping_closed(tau, bath)
     assert abs(report.sigma_dot - expected) / expected < 1e-6
 
@@ -450,7 +455,7 @@ def test_quadrature_dimension_guard():
     grid = SphereGrid(32, 32)
     field = husimi_field(np.eye(3, dtype=complex) / 3.0, grid)
     with pytest.raises(DimensionError):
-        ep_rate_dephasing_quad(field, 1.0, QUBIT)
+        ep_rate_dephasing_quad(field, DephasingChannel(lam=1.0, ops=OPS))
 
 
 def test_vn_general_matches_qubit_closed_forms():
@@ -488,7 +493,7 @@ def test_vn_general_rejects_rank_deficient_state():
 def test_vn_general_spin_one_thermal_fixed_point():
     j = SpinJ(2)
     ops3 = make_spin_operators(j)
-    chan = AmplitudeDampingChannel(gamma=1.0, nbar=0.5, ops=ops3)
+    chan = BathParams.from_nbar(1.0, 0.5).channel(ops3)
     rho_eq = damping_stationary_state(j, 0.5)
     report = ep_vn_general(rho_eq, chan, rho_eq)
     assert abs(report.sigma_dot) < 1e-12
@@ -527,7 +532,7 @@ def _grid_field():
     "rate",
     [
         lambda lam: vn_rate_dephasing(np.eye(2, dtype=complex) / 2.0, lam, OPS),
-        lambda lam: ep_rate_dephasing_quad(_grid_field(), lam, QUBIT),
+        lambda lam: ep_rate_dephasing_quad(_grid_field(), DephasingChannel(lam=lam, ops=OPS)),
         lambda lam: ep_vn_qubit_dephasing([0.3, 0.0, 0.2], lam),
         lambda lam: ep_qubit_dephasing_closed([0.3, 0.0, 0.2], lam),
     ],
@@ -579,15 +584,14 @@ def test_channels_hold_read_only_operators():
     j = SpinJ(2)
     ops = make_spin_operators(j)
     ham = np.array(ops.jz)
-    chan = DaviesChannel.with_beta(
-        [DaviesPair(l_minus=np.array(ops.jminus), gamma_minus=0.8, gamma_plus=0.0, omega=1.0)], beta=0.5, hamiltonian=ham
-    )
+    chan = AmplitudeDampingChannel(BathParams.from_nbar(0.8, 1.0 / math.expm1(0.5)), ops, hamiltonian=ham)
     rho = _full_rank_state(j.dim, 3)
     rho_eq = gibbs_state(ops.jz, 0.5)
     before = ep_vn_general(rho, chan, rho_eq)
     ham[...] = 0.0
     assert ep_vn_general(rho, chan, rho_eq) == before
-    for array in (chan.hamiltonian, chan.pairs[0].l_minus, chan.pairs[0].l_plus, ops.jz):
+    jumps = [jump for _, jump in chan.jumps]
+    for array in (chan.hamiltonian, chan.stationary_populations, *jumps, ops.jz):
         assert not array.flags.writeable
 
 
@@ -634,21 +638,23 @@ def test_vn_rates_match_logm_oracle(two_j):
     gamma, nbar = 1.3, 0.5
     jumps = [(gamma * (nbar + 1.0), ops.jminus), (gamma * nbar, ops.jplus)]
     rho_eq = damping_stationary_state(j, nbar)
-    report = ep_vn_general(rho, AmplitudeDampingChannel(gamma=gamma, nbar=nbar, ops=ops), rho_eq)
+    report = ep_vn_general(rho, BathParams.from_nbar(gamma, nbar).channel(ops), rho_eq)
     _assert_rates(report, _logm_rates(rho, None, jumps, rho_eq))
 
     gamma_bar = 0.9
     jumps = [(0.5 * gamma_bar, ops.jminus), (0.5 * gamma_bar, ops.jplus)]
     rho_eq = damping_stationary_state(j, math.inf)
-    report = ep_vn_general(rho, AmplitudeDampingChannel.infinite_temperature(gamma_bar, ops), rho_eq)
+    report = ep_vn_general(rho, BathParams.from_tau_bar(gamma_bar, 0.0).channel(ops), rho_eq)
     _assert_rates(report, _logm_rates(rho, None, jumps, rho_eq))
 
-    omega, beta = 1.1, 0.6
+    # the damping channel in Davies form: H = omega jz, with the bath at the occupation of inverse temperature beta
+    omega, beta, loss = 1.1, 0.6, 0.8
     ham = omega * ops.jz
-    pair = DaviesPair(l_minus=ops.jminus, gamma_minus=0.8, gamma_plus=0.0, omega=omega)
-    chan = DaviesChannel.with_beta([pair], beta=beta, hamiltonian=ham)
-    jumps = [(0.8, ops.jminus), (0.8 * math.exp(-beta * omega), ops.jplus)]
+    nbar = 1.0 / math.expm1(beta * omega)
+    chan = AmplitudeDampingChannel(BathParams.from_nbar(loss / (nbar + 1.0), nbar), ops, hamiltonian=ham)
+    jumps = [(loss, ops.jminus), (loss * math.exp(-beta * omega), ops.jplus)]
     rho_eq = gibbs_state(ham, beta)
+    np.testing.assert_allclose(chan.stationary_populations, rho_eq.diagonal().real, rtol=1e-12, atol=0.0)
     _assert_rates(ep_vn_general(rho, chan, rho_eq), _logm_rates(rho, ham, jumps, rho_eq))
 
 
@@ -656,7 +662,7 @@ def test_vn_general_reference_memo_follows_the_reference():
     j = SpinJ(4)
     ops = make_spin_operators(j)
     gamma, nbar = 1.0, 0.5
-    chan = AmplitudeDampingChannel(gamma=gamma, nbar=nbar, ops=ops)
+    chan = BathParams.from_nbar(gamma, nbar).channel(ops)
     jumps = [(gamma * (nbar + 1.0), ops.jminus), (gamma * nbar, ops.jplus)]
     rho = _full_rank_state(j.dim, 7)
     first = damping_stationary_state(j, nbar)
@@ -686,11 +692,11 @@ def test_hot_damping_approaches_the_infinite_temperature_rates(two_j):
     field = husimi_field(random_state_with_coherence(j.dim, 0.3, 11), SphereGrid(32, 32))
     gamma_bar = 1.3
     limit = BathParams.from_tau_bar(gamma_bar, 0.0)
-    cold = ep_rate_damping_quad(field, limit, j)
+    cold = ep_rate_damping_quad(field, limit.channel(ops))
     d_limit = dissipator_field(field, limit.channel(ops))
     for nbar in (1e3, 1e6):
         hot_bath = BathParams.from_nbar(gamma_bar / (2.0 * nbar + 1.0), nbar)
-        hot = ep_rate_damping_quad(field, hot_bath, j)
+        hot = ep_rate_damping_quad(field, hot_bath.channel(ops))
         d_hot = dissipator_field(field, hot_bath.channel(ops))
         assert abs(hot.sigma_dot - cold.sigma_dot) < 20.0 / nbar * abs(cold.sigma_dot)
         assert abs(hot.ds_dt - cold.ds_dt) < 20.0 / nbar * abs(cold.ds_dt)

@@ -5,10 +5,8 @@ import pytest
 from scipy.linalg import expm
 
 from spinphase import (
-    AmplitudeDampingChannel,
+    BathParams,
     BandLimitError,
-    DaviesChannel,
-    DaviesPair,
     DephasingChannel,
     DimensionError,
     QFloorWarning,
@@ -20,7 +18,6 @@ from spinphase import (
     bloch_to_rho,
     coherent_amplitudes,
     dephasing_dissipator,
-    dissipator,
     dissipator_field,
     husimi_field,
     husimi_q,
@@ -82,6 +79,11 @@ def test_grid_guards():
         SphereGrid(1, 8)
     with pytest.raises(ValueError):
         SphereGrid(16, 3)
+    # a size that is not an integer is refused as SpinJ refuses one, not truncated or passed to numpy
+    for sizes in ((8.7, 8), (8, 8.0), (math.nan, 8), (8, math.inf)):
+        with pytest.raises(TypeError, match="grid sizes must be integers"):
+            SphereGrid(*sizes)
+    assert SphereGrid(np.int64(8), 8).n_theta == 8
     grid = SphereGrid(16, 16)
     with pytest.raises(DimensionError):
         grid.integrate(np.ones((8, 8)))
@@ -101,6 +103,13 @@ def test_coherent_amplitudes_range_guard():
         coherent_amplitudes(QUBIT, -0.1)
     with pytest.raises(RangeError):
         coherent_amplitudes(QUBIT, math.pi + 0.1)
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_husimi_q_rejects_a_non_finite_azimuth(phi):
+    # a named error, as for a polar angle off [0, pi], not a NaN after numpy warnings
+    with pytest.raises(RangeError, match="phi must be finite"):
+        husimi_q(np.eye(2, dtype=complex) / 2.0, SolidAngle(0.5, phi))
 
 
 def test_coherent_amplitudes_normalized():
@@ -276,11 +285,11 @@ def test_damping_field_matches_matrix_dissipator(two_j, gamma, nbar):
     ops = make_spin_operators(j)
     grid = SphereGrid(20, 20)
     rng = np.random.default_rng(20 + two_j)
-    chan = AmplitudeDampingChannel(gamma=gamma, nbar=nbar, ops=ops)
+    chan = BathParams.from_nbar(gamma, nbar).channel(ops)
     for _ in range(5):
         rho = random_rho(rng, j.dim)
         field = husimi_field(rho, grid)
-        oracle = brute_husimi(dissipator(chan, rho), j, grid)
+        oracle = brute_husimi(chan.dissipator(rho), j, grid)
         assert np.abs(dissipator_field(field, chan) - oracle).max() < 1e-12
 
 
@@ -290,11 +299,11 @@ def test_infinite_temperature_field_matches_matrix_dissipator(two_j):
     ops = make_spin_operators(j)
     grid = SphereGrid(20, 20)
     rng = np.random.default_rng(30 + two_j)
-    chan = AmplitudeDampingChannel.infinite_temperature(0.9, ops)
+    chan = BathParams.from_tau_bar(0.9, 0.0).channel(ops)
     for _ in range(5):
         rho = random_rho(rng, j.dim)
         field = husimi_field(rho, grid)
-        oracle = brute_husimi(dissipator(chan, rho), j, grid)
+        oracle = brute_husimi(chan.dissipator(rho), j, grid)
         assert np.abs(dissipator_field(field, chan) - oracle).max() < 1e-12
 
 
@@ -306,7 +315,7 @@ def test_dissipator_field_integrates_to_zero():
     ops = make_spin_operators(j)
     for chan in (
         DephasingChannel(lam=1.0, ops=ops),
-        AmplitudeDampingChannel(gamma=0.8, nbar=0.6, ops=ops),
+        BathParams.from_nbar(0.8, 0.6).channel(ops),
     ):
         for _ in range(5):
             field = husimi_field(random_rho(rng, 3), grid)
@@ -372,7 +381,7 @@ def test_wehrl_rate_matches_finite_difference():
         rho = random_rho(rng, j.dim)
         for chan in (
             DephasingChannel(lam=1.0, ops=ops),
-            AmplitudeDampingChannel(gamma=1.0, nbar=0.5, ops=ops),
+            BathParams.from_nbar(1.0, 0.5).channel(ops),
         ):
             traj = evolve(chan, rho, 2.0 * dt, 2)
             s0 = wehrl_entropy(husimi_field(traj.states[0], grid))
@@ -462,14 +471,14 @@ def test_dissipator_fields_match_matrix_dissipators_at_workload_spins(two_j):
     grid = SphereGrid(24, 24)
     channels = (
         DephasingChannel(lam=1.3, ops=ops),
-        AmplitudeDampingChannel(gamma=0.7, nbar=0.5, ops=ops),
-        AmplitudeDampingChannel.infinite_temperature(0.9, ops),
-        AmplitudeDampingChannel(gamma=1.0, nbar=0.0, ops=ops),
+        BathParams.from_nbar(0.7, 0.5).channel(ops),
+        BathParams.from_tau_bar(0.9, 0.0).channel(ops),
+        BathParams.from_nbar(1.0, 0.0).channel(ops),
     )
     for name, rho in sparse_and_random_states(np.random.default_rng(70 + two_j), j).items():
         field = husimi_field(rho, grid)
         for chan in channels:
-            oracle = brute_husimi(dissipator(chan, rho), j, grid)
+            oracle = brute_husimi(chan.dissipator(rho), j, grid)
             assert np.abs(dissipator_field(field, chan) - oracle).max() < 1e-12, (name, chan)
 
 
@@ -525,7 +534,7 @@ def test_one_grid_serves_several_spins():
         fresh = husimi_field(rho, SphereGrid(24, 24))
         assert np.array_equal(field.q, fresh.q)
         assert np.abs(field.q - brute_husimi(rho, j, grid)).max() < 1e-12
-        chan = AmplitudeDampingChannel(gamma=1.0, nbar=0.5, ops=make_spin_operators(j))
+        chan = BathParams.from_nbar(1.0, 0.5).channel(make_spin_operators(j))
         assert np.array_equal(dissipator_field(field, chan), dissipator_field(fresh, chan))
 
 
@@ -553,13 +562,11 @@ def test_grid_builds_spin_tables_on_first_field(monkeypatch):
 def test_channels_without_a_phase_space_dissipator_raise_type_error():
     ops = make_spin_operators(QUBIT)
     field = husimi_field(bloch_to_rho([0.3, 0.1, 0.2]), SphereGrid(16, 16))
-    pair = DaviesPair(l_minus=ops.jminus, gamma_minus=0.8, gamma_plus=0.2, omega=0.0)
-    for chan in (UnitaryChannel(hamiltonian=ops.jx), DaviesChannel(pairs=[pair])):
-        name = type(chan).__name__
-        with pytest.raises(TypeError, match=name):
-            dissipator_field(field, chan)
-        with pytest.raises(TypeError, match=name):
-            wehrl_rate_dissipative(field, chan)
+    chan = UnitaryChannel(hamiltonian=ops.jx)
+    with pytest.raises(TypeError, match="UnitaryChannel"):
+        dissipator_field(field, chan)
+    with pytest.raises(TypeError, match="UnitaryChannel"):
+        wehrl_rate_dissipative(field, chan)
 
 
 @pytest.mark.parametrize("two_j", [2, 4, 8])

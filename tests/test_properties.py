@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinphase import (
-    AmplitudeDampingChannel,
     BathParams,
     DephasingChannel,
     QFloorWarning,
@@ -52,7 +51,7 @@ def test_husimi_field_is_a_normalized_density_that_dissipators_conserve(two_j, s
     assert field.q.min() >= -1e-14
     assert abs((two_j + 1) / (4.0 * math.pi) * GRID.integrate(field.q) - 1.0) < 1e-10
     ops = make_spin_operators(field.j)
-    for chan in (DephasingChannel(lam=lam, ops=ops), AmplitudeDampingChannel(gamma=gamma, nbar=nbar, ops=ops)):
+    for chan in (DephasingChannel(lam=lam, ops=ops), BathParams.from_nbar(gamma, nbar).channel(ops)):
         assert abs(GRID.integrate(dissipator_field(field, chan))) < 1e-10
 
 
@@ -95,11 +94,12 @@ def test_quadrature_production_rates_are_nonnegative(two_j, seed, rank, lam, gam
     a = rng.normal(size=(j.dim, min(rank, j.dim))) + 1j * rng.normal(size=(j.dim, min(rank, j.dim)))
     rho = a @ a.conj().T
     field = husimi_field(rho / np.trace(rho).real, GRID)
+    ops = make_spin_operators(j)
     bath = BathParams.from_tau_bar(gamma, 0.0) if math.isinf(nbar) else BathParams.from_nbar(gamma, nbar)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", QFloorWarning)
-        assert ep_rate_dephasing_quad(field, lam, j).sigma_dot >= -1e-12
-        assert ep_rate_damping_quad(field, bath, j).sigma_dot >= -1e-12
+        assert ep_rate_dephasing_quad(field, DephasingChannel(lam=lam, ops=ops)).sigma_dot >= -1e-12
+        assert ep_rate_damping_quad(field, bath.channel(ops)).sigma_dot >= -1e-12
 
 
 def bath_at(gamma, nbar):
@@ -112,18 +112,18 @@ def test_rates_vanish_on_the_damping_stationary_state(two_j, nbar):
     # measured at 64^2 over these cases: quadrature sigma <= 2.7e-31, von Neumann rates <= 5.8e-15; the quadrature
     # flux reads p - p_eq, which is 0 here, so it is exactly 0.0 and dS/dt = sigma
     j = SpinJ(two_j)
-    bath = bath_at(1.0, nbar)
+    chan = bath_at(1.0, nbar).channel(make_spin_operators(j))
     steady = damping_stationary_state(j, nbar)
     with warnings.catch_warnings():
         # the n_bar = 0 state is |J, -J>, whose Husimi field vanishes at the north pole
         warnings.simplefilter("ignore", QFloorWarning)
-        quad = ep_rate_damping_quad(husimi_field(steady, FINE), bath, j)
+        quad = ep_rate_damping_quad(husimi_field(steady, FINE), chan)
     assert abs(quad.sigma_dot) <= 1e-29
     assert quad.phi_dot == 0.0
     assert abs(quad.ds_dt) <= 1e-14
     if nbar > 0.0:
         # the von Neumann route needs a full-rank state; at n_bar = 0 the stationary state is pure
-        vn = ep_vn_general(steady, bath.channel(make_spin_operators(j)), steady)
+        vn = ep_vn_general(steady, chan, steady)
         assert max(abs(vn.sigma_dot), abs(vn.phi_dot), abs(vn.ds_dt)) <= 1e-13
 
 
