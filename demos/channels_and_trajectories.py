@@ -5,8 +5,6 @@ damping pulls every state toward the bath polarization.  Both are checked
 here against the closed qubit solutions.
 """
 
-import math
-
 import numpy as np
 
 from spinphase import (

@@ -271,6 +271,8 @@ def _run_rows(row: Callable, items) -> tuple:
 
 def _draw(j: SpinJ, coherence, seed: int) -> np.ndarray:
     """The seeded random state (or stack, one per target) of --seed and --coherence."""
+    if seed < 0:
+        raise CliError(f"--seed: must be >= 0, got {seed}")
     try:
         return random_state_with_coherence(j.dim, coherence, seed)
     except UnreachableCoherence as exc:
@@ -420,6 +422,8 @@ def cmd_sweep_coherence(args) -> int:
         _reject_unread({"--bloch": args.bloch}, "a sweep above --j 1/2")
         if args.seed is None or args.coherence is None:
             raise CliError("dim > 2 sweeps need --seed and --coherence (the sweep's maximum)")
+        if not 0.0 <= args.coherence < math.inf:
+            raise CliError(f"--coherence: must be finite and >= 0, got {args.coherence}")
         states = _draw(j, np.linspace(0.0, args.coherence, args.points), args.seed)
         rows, notes = _sweep_table(rates, grid, states, [None] * args.points, [math.nan] * args.points)
         meta.update({"seed": args.seed, "coherence_max": repr(args.coherence)})

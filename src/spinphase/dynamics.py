@@ -7,6 +7,11 @@ rate gamma nbar, read from the one BathParams it carries.  Each channel is
 one frozen object holding every constant its rates read, and its
 Hamiltonian and jump operators as read-only copies taken at construction,
 so its generator matrix, built on first read, stays valid.
+
+A channel acts on matrices only.  The map from rho to its Husimi function
+Q is linear, so a channel's phase-space dissipator is the Husimi function
+of its matrix dissipator, which phase_space synthesizes from
+dissipator(rho); no channel carries a phase-space form of its own.
 """
 
 import functools
@@ -23,7 +28,6 @@ from .errors import (
     StepCountError,
     ZeroRateError,
 )
-from .phase_space import damping_dissipator_field, dephasing_dissipator_field
 from .spins import (
     EIG_FLOOR,
     SpinJ,
@@ -48,10 +52,6 @@ class Channel:
         gen = np.ascontiguousarray(apply_liouvillian(self, basis).reshape(d * d, d * d).T)
         gen.flags.writeable = False
         return gen
-
-    def phase_space_dissipator(self, field) -> np.ndarray:
-        """D(Q) on the field's grid; only dephasing and damping have one."""
-        raise TypeError(f"no phase-space dissipator for {type(self).__name__}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,9 +94,6 @@ class DephasingChannel(Channel):
 
     def dissipator(self, rho: np.ndarray) -> np.ndarray:
         return self.weights * rho
-
-    def phase_space_dissipator(self, field) -> np.ndarray:
-        return dephasing_dissipator_field(field, self.lam, self.ops.j)
 
 
 def _bath_rates(gamma: float, nbar: float) -> tuple:
@@ -197,9 +194,6 @@ class AmplitudeDampingChannel(Channel):
             if rate != 0.0:
                 out = out + rate * _lindblad_term(jump, rho)
         return out
-
-    def phase_space_dissipator(self, field) -> np.ndarray:
-        return damping_dissipator_field(field, self.bath.gamma_bar, self.bath.tau_bar_z, self.ops.j)
 
 
 def dephasing_dissipator(lam: float, ops: SpinOperators, rho: np.ndarray) -> np.ndarray:

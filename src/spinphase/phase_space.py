@@ -3,18 +3,14 @@
 A state of spin J becomes the function Q(theta, phi) = <Omega| rho |Omega>
 with |Omega> = exp(-i phi jz) exp(-i theta jy) |J, J>.  In the ladder basis
 the overlap factorizes as <J, m|Omega> = exp(-i m phi) a_m(theta) with real
-nonnegative amplitudes, so every field built from rho is a finite azimuthal
-Fourier series
+nonnegative amplitudes, so Q is a finite azimuthal Fourier series
 
-    F(theta, phi) = sum_k g_k(theta) exp(i k phi),  |k| <= 2J.
+    Q(theta, phi) = sum_k g_k(theta) exp(i k phi),  |k| <= 2J,
 
-Q is real, so its spectrum is conjugate symmetric, g_{-k} = conj(g_k), and
-only the k >= 0 half is ever formed: a complex array half[order, k, theta]
-for k = 0 ... 2J, where order 0 holds the components g_k and orders 1 and
-2 their analytic theta-derivatives, which a field builds when a dissipator
-first reads it.  A real field is synthesized from a k >= 0 half as
+whose component g_k sums rho[r, r + k] a_r a_{r+k} along the k-th
+diagonal.  Q is real, so g_{-k} = conj(g_k), and
 
-    F = Re sum_{k >= 0} c_k e^{ik phi} = sum_k (Re c_k cos(k phi) - Im c_k sin(k phi)),
+    Q = Re sum_{k >= 0} c_k e^{ik phi} = sum_k (Re c_k cos(k phi) - Im c_k sin(k phi)),
 
 with c_k = 2 g_k for k > 0, which is one real matrix product of the
 interleaved [Re c_k, Im c_k] columns with a cos/sin table.
@@ -25,28 +21,26 @@ The differential actions
     j+  ->  exp(+i phi) (d_theta + i cot(theta) d_phi)
     j-  -> -exp(-i phi) (d_theta - i cot(theta) d_phi)
 
-are read pointwise from the synthesized Q, dQ/dtheta and dQ/dphi.  The
-dissipators keep each azimuthal order k, so D(Q) is one synthesis of a
-per-k half spectrum d_k built from the exact derivatives, free of
-finite-difference noise.  Dephasing gives d_k = -(lam/2) k^2 g_k.  Thermal
-damping, D(Q) = Re(j- F) with F the current of dissipator_field, averages
-the k and -k ladder recurrences, so its coefficients are real and even in
-k; with c = cos(theta), s = sin(theta), t = tau_bar_z and n = 2J,
+are read pointwise from the synthesized Q, dQ/dtheta and dQ/dphi.
 
-    d_k = (gamma_bar / 2) [(1 + t c) g_k'' + ((c + t) / s + (n - 2) t s) g_k'
-                           + (2 n t c - k^2 c (c + t) / s^2) g_k].
+The map rho -> Q is linear, so the phase-space dissipator of a channel,
+the rate of change D(Q) that its dissipator gives Q, is the Husimi
+function of the matrix dissipator: D(Q) = Q[D[rho]].  dissipator_field
+synthesizes it from channel.dissipator(rho) exactly as Q is synthesized
+from rho, so no channel carries a phase-space formula of its own.
 
 Whatever depends only on J and the grid is built on first use and cached
 on the SphereGrid, keyed by 2J: the pair products a_r a_r' (r <= r') of the
-coherent amplitudes with their first and second theta-derivatives, one row
-per (order, theta node) and doubled where r' > r, the cos/sin table over
-k = 0 ... 2J, and the indices that scatter a state into pair space.  A
-state becomes a real (pairs x 2K) matrix, K = 2J + 1, whose row for the
-pair (r, r') holds [Re rho[r, r'], Im rho[r, r']] at column k = r' - r; one
-GEMM with the value and theta-derivative rows of the pair table gives the
-interleaved coefficients [Re c_k, Im c_k] of Q and dQ/dtheta on every theta
-node, ik times those of Q give dQ/dphi, and one real
-(3 n_theta x 2K) @ (2K x n_phi) product synthesizes all three fields.
+coherent amplitudes with their first theta-derivatives, one row per
+(order, theta node) and doubled where r' > r, the cos/sin table over
+k = 0 ... 2J, and the indices that scatter a matrix into pair space.  A
+Hermitian matrix M becomes a real (pairs x 2K) matrix, K = 2J + 1, whose
+row for the pair (r, r') holds [Re M[r, r'], Im M[r, r']] at column
+k = r' - r.  For M = rho, one GEMM with the value and theta-derivative
+rows of the pair table gives the interleaved coefficients [Re c_k, Im c_k]
+of Q and dQ/dtheta on every theta node, ik times those of Q give dQ/dphi,
+and one real (3 n_theta x 2K) @ (2K x n_phi) product synthesizes all three
+fields; D(Q) takes the value rows alone for M = D[rho].
 
 Quadrature pairs Gauss-Legendre nodes in cos(theta) with a uniform phi
 grid, so there are no polar nodes and trigonometric polynomials up to the
@@ -55,7 +49,6 @@ band limit integrate exactly.  Every grid integral is one form,
 against the Gauss-Legendre weights.
 """
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -64,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BandLimitError, DimensionError, QFloorWarning, RangeError
-from .spins import SpinJ, check_density_matrix
+from .spins import SpinJ, check_density_matrix, read_only
 
 Q_FLOOR = 1e-14
 FLOOR_NOTE = "{}: excluded weight {:.3e} below Husimi floor"
@@ -134,35 +127,27 @@ class SphereGrid:
         return float(np.real(self.theta_weights @ row_sums)) * (2.0 * np.pi / self.n_phi)
 
 
-def _amplitude_table(j: SpinJ, thetas: np.ndarray, orders: int = 3) -> np.ndarray:
-    """Coherent-state amplitudes a_m(theta) and theta-derivatives.
+def _amplitude_table(j: SpinJ, thetas: np.ndarray) -> np.ndarray:
+    """Coherent-state amplitudes a_m(theta) and their theta-derivatives.
 
-    Returns shape (orders, dim, len(thetas)); row index r corresponds to
+    Returns shape (2, dim, len(thetas)); row index r corresponds to
     m = J - r.  a_m = sqrt(C(2J, J-m)) cos^(J+m)(theta/2) sin^(J-m)(theta/2).
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     c = np.cos(0.5 * thetas)
     s = np.sin(0.5 * thetas)
-    out = np.zeros((orders, j.dim, thetas.shape[0]))
+    out = np.zeros((2, j.dim, thetas.shape[0]))
     for r in range(j.dim):
         p = j.two_j - r
         q = r
         root = math.sqrt(math.comb(j.two_j, r))
         out[0, r] = root * c**p * s**q
-        if orders >= 2:
-            acc = np.zeros_like(thetas)
-            if q > 0:
-                acc += q * c ** (p + 1) * s ** (q - 1)
-            if p > 0:
-                acc -= p * c ** (p - 1) * s ** (q + 1)
-            out[1, r] = 0.5 * root * acc
-        if orders >= 3:
-            acc = -(2.0 * p * q + p + q) * c**p * s**q
-            if p > 1:
-                acc = acc + p * (p - 1) * c ** (p - 2) * s ** (q + 2)
-            if q > 1:
-                acc = acc + q * (q - 1) * c ** (p + 2) * s ** (q - 2)
-            out[2, r] = 0.25 * root * acc
+        acc = np.zeros_like(thetas)
+        if q > 0:
+            acc += q * c ** (p + 1) * s ** (q - 1)
+        if p > 0:
+            acc -= p * c ** (p - 1) * s ** (q + 1)
+        out[1, r] = 0.5 * root * acc
     return out
 
 
@@ -180,7 +165,7 @@ def coherent_amplitudes(j: SpinJ, theta: float) -> CoherentAmplitudes:
     """Overlap amplitudes <J, m|Omega> at azimuth zero, with theta-derivatives."""
     if not (0.0 <= theta <= math.pi):
         raise RangeError(f"theta must lie in [0, pi], got {theta}")
-    table = _amplitude_table(j, np.array([theta]), orders=2)
+    table = _amplitude_table(j, np.array([theta]))
     return CoherentAmplitudes(j=j, theta=theta, amplitudes=table[0, :, 0].copy(), damplitudes=table[1, :, 0].copy())
 
 
@@ -188,16 +173,15 @@ def coherent_amplitudes(j: SpinJ, theta: float) -> CoherentAmplitudes:
 class _SpinTables:
     """What the Husimi synthesis needs of one spin on one grid; read-only once built.
 
-    pairs[o * n_theta + i, p] holds the o-th theta-derivative (o = 0, 1, 2)
+    pairs[o * n_theta + i, p] holds the o-th theta-derivative (o = 0, 1)
     of a_r a_r' at node i for the p-th pair (r, r') of the upper triangle
     r <= r', in row-major order, doubled where r' > r (the weight of
     c_k = 2 g_k at k = r' - r > 0); diagonal[r] is the index of the pair
-    (r, r).  A state's pair-space matrix is zero but for its entry
+    (r, r).  A matrix's pair-space form is zero but for its entry
     rho.flat[source[p]] at flat index target[p] of a complex
     (pairs, 2J + 1) array, column k = r' - r.  trig rows 2k and 2k + 1 hold
-    cos(k phi) and -sin(k phi) on the phi nodes, k = 0 ... 2J.  Over
-    k = 0 ... 2J, the column doubled holds the weights (1, 2, ..., 2) and
-    the row ik maps a component of Q to the one of d_phi Q.
+    cos(k phi) and -sin(k phi) on the phi nodes, k = 0 ... 2J, and the row
+    ik maps a component of Q to the one of d_phi Q.
     """
 
     pairs: np.ndarray
@@ -205,39 +189,42 @@ class _SpinTables:
     source: np.ndarray
     target: np.ndarray
     trig: np.ndarray
-    doubled: np.ndarray
     ik: np.ndarray
 
 
 def _build_tables(j: SpinJ, grid: SphereGrid) -> _SpinTables:
     grid.check_band_limit(j)
-    a0, a1, a2 = _amplitude_table(j, grid.theta_nodes, orders=3)
+    a0, a1 = _amplitude_table(j, grid.theta_nodes)
     rows, cols = np.triu_indices(j.dim)
     k = cols - rows
     doubled = np.where(np.arange(j.dim) > 0, 2.0, 1.0)
     pairs = np.stack((
         a0[rows] * a0[cols],
         a1[rows] * a0[cols] + a0[rows] * a1[cols],
-        a2[rows] * a0[cols] + 2.0 * a1[rows] * a1[cols] + a0[rows] * a2[cols],
     )) * doubled[k, None]
-    pairs = np.ascontiguousarray(pairs.transpose(0, 2, 1).reshape(3 * grid.n_theta, rows.size))
+    pairs = np.ascontiguousarray(pairs.transpose(0, 2, 1).reshape(2 * grid.n_theta, rows.size))
     diagonal = np.flatnonzero(k == 0)
     angles = np.arange(j.dim)[:, None] * grid.phi_nodes[None, :]
     trig = np.stack((np.cos(angles), -np.sin(angles)), axis=1).reshape(2 * j.dim, grid.n_phi)
     tables = _SpinTables(
         pairs=pairs, diagonal=diagonal, source=rows * j.dim + cols, target=np.arange(rows.size) * j.dim + k,
-        trig=trig, doubled=doubled[:, None], ik=1j * np.arange(j.dim),
+        trig=trig, ik=1j * np.arange(j.dim),
     )
     for table in vars(tables).values():
         table.flags.writeable = False
     return tables
 
 
-def _from_half(g: np.ndarray, tables: _SpinTables) -> np.ndarray:
-    """Real field of a conjugate-symmetric spectrum from its k >= 0 half g of shape (2J + 1, n_theta)."""
-    # [Re c_k, Im c_k] interleaved along k, against the cos / -sin rows of the table
-    coeffs = np.ascontiguousarray((tables.doubled * g).T).view(float)
-    return coeffs @ tables.trig
+def _pair_space(matrix: np.ndarray, tables: _SpinTables) -> np.ndarray:
+    """A Hermitian matrix M in pair space, where its upper triangle fixes it.
+
+    The real (pairs, 2(2J + 1)) array whose row for the pair (r, r') holds
+    [Re M[r, r'], Im M[r, r']] at column k = r' - r (m - m' for m = J - r,
+    m' = J - r').
+    """
+    out = np.zeros((tables.source.size, matrix.shape[0]), dtype=complex)
+    out.ravel()[tables.target] = np.take(matrix, tables.source)
+    return out.view(float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,16 +232,10 @@ class HusimiField:
     """Husimi function of a state sampled on a sphere grid.
 
     q, dq_dtheta and dq_dphi are real arrays of shape (n_theta, n_phi),
-    synthesized together from spectrum, the state in pair space: a real
-    (pairs, 2(2J + 1)) array whose row for the pair (r, r') of the upper
-    triangle holds [Re rho[r, r'], Im rho[r, r']] at column k = r' - r.
-    half, built on its first read, holds the components g_k of Q for
-    k = 0 ... 2J, each with two theta-derivatives, in one complex
-    (3, 2J + 1, n_theta) array; only the dissipator fields read it, as
-    per-k combinations synthesized with the tables the grid caches for
-    this spin.  The ladder actions are read pointwise from the derivatives.
-    populations is the real diagonal p_m of the state, m = J ... -J, which
-    fixes the azimuthal average sum_m p_m a_m^2 of Q.
+    synthesized together from the state in pair space with the tables the
+    grid caches for this spin; the ladder actions are read pointwise from
+    them.  rho is a read-only copy of the validated state, which the
+    dissipator field and the damping flux read.
     """
 
     j: SpinJ
@@ -262,15 +243,7 @@ class HusimiField:
     q: np.ndarray
     dq_dtheta: np.ndarray
     dq_dphi: np.ndarray
-    spectrum: np.ndarray
-    populations: np.ndarray
-
-    @functools.cached_property
-    def half(self) -> np.ndarray:
-        """Components k = 0 ... 2J of Q with two theta-derivatives; those at -k are their conjugates."""
-        tables = self.grid._spin_tables(self.j)
-        c = (tables.pairs @ self.spectrum).view(complex).reshape(3, self.grid.n_theta, self.j.dim)
-        return np.swapaxes(c, 1, 2) / tables.doubled
+    rho: np.ndarray
 
 
 def husimi_field(rho: np.ndarray, grid: SphereGrid) -> HusimiField:
@@ -279,19 +252,12 @@ def husimi_field(rho: np.ndarray, grid: SphereGrid) -> HusimiField:
     j = SpinJ(rho.shape[0] - 1)
     tables = grid._spin_tables(j)
     n_theta = grid.n_theta
-    # pair (r, r') feeds component k = r' - r (m - m' for m = J - r, m' = J - r')
-    spectrum = np.zeros((tables.source.size, j.dim), dtype=complex)
-    spectrum.ravel()[tables.target] = np.take(rho, tables.source)
-    spectrum = spectrum.view(float)
     # rows: the [Re c_k, Im c_k] of Q, then of dQ/dtheta, then of dQ/dphi, on every theta node
     coeffs = np.empty((3 * n_theta, 2 * j.dim))
-    np.matmul(tables.pairs[: 2 * n_theta], spectrum, out=coeffs[: 2 * n_theta])
+    np.matmul(tables.pairs, _pair_space(rho, tables), out=coeffs[: 2 * n_theta])
     np.multiply(coeffs[:n_theta].view(complex), tables.ik, out=coeffs[2 * n_theta :].view(complex))
     q, dq_dtheta, dq_dphi = (coeffs @ tables.trig).reshape(3, n_theta, grid.n_phi)
-    return HusimiField(
-        j=j, grid=grid, q=q, dq_dtheta=dq_dtheta, dq_dphi=dq_dphi, spectrum=spectrum,
-        populations=rho.diagonal().real.copy(),
-    )
+    return HusimiField(j=j, grid=grid, q=q, dq_dtheta=dq_dtheta, dq_dphi=dq_dphi, rho=read_only(rho))
 
 
 def husimi_q(rho: np.ndarray, omega: SolidAngle) -> float:
@@ -304,7 +270,7 @@ def husimi_q(rho: np.ndarray, omega: SolidAngle) -> float:
         raise RangeError(f"phi must be finite, got {phi}")
     j = SpinJ(rho.shape[0] - 1)
     # Q = u^H rho u with u_r = <J, J - r|Omega> up to a global phase: a_r e^{i r phi}
-    u = _amplitude_table(j, np.array([theta]), orders=1)[0, :, 0] * np.exp(1j * np.arange(j.dim) * phi)
+    u = _amplitude_table(j, np.array([theta]))[0, :, 0] * np.exp(1j * np.arange(j.dim) * phi)
     return float((u.conj() @ rho @ u).real)
 
 
@@ -329,28 +295,6 @@ def phase_space_jminus(field: HusimiField) -> np.ndarray:
     return _ladder(field, -1)
 
 
-def _checked_tables(field: HusimiField, j: SpinJ) -> _SpinTables:
-    if j != field.j:
-        raise DimensionError("channel spin does not match field spin")
-    return field.grid._spin_tables(j)
-
-
-def dephasing_dissipator_field(field: HusimiField, lam: float, j: SpinJ) -> np.ndarray:
-    """D(Q) of dephasing at rate lam through jz of spin j (see dissipator_field)."""
-    tables = _checked_tables(field, j)
-    return _from_half(-0.5 * lam * np.arange(j.dim)[:, None] ** 2 * field.half[0], tables)
-
-
-def damping_dissipator_field(field: HusimiField, gamma_bar: float, tau_bar_z: float, j: SpinJ) -> np.ndarray:
-    """D(Q) of thermal ladder damping of spin j at any temperature (see dissipator_field)."""
-    tables = _checked_tables(field, j)
-    c, s, t, n = field.grid.cos_theta, field.grid.sin_theta, tau_bar_z, j.two_j
-    k2 = np.arange(j.dim)[:, None] ** 2
-    g, dg, d2g = field.half
-    d = (1.0 + t * c) * d2g + ((c + t) / s + (n - 2) * t * s) * dg + (2 * n * t * c - k2 * (c * (c + t) / s**2)) * g
-    return _from_half(0.5 * gamma_bar * d, tables)
-
-
 def damping_flux(field: HusimiField, gamma_bar: float, tau_bar_z: float, populations_eq: np.ndarray) -> float:
     """Wehrl flux rate of thermal ladder damping, read from the populations alone (see ep_rate_damping_quad).
 
@@ -365,26 +309,23 @@ def damping_flux(field: HusimiField, gamma_bar: float, tau_bar_z: float, populat
     w = (n * t) ** 2 * s**2 / (1.0 + t * c) - 2 * n * t * c
     # the diagonal pairs (r, r) hold a_m^2 for m = J - r
     f = (grid.theta_weights * w) @ tables.pairs[: grid.n_theta, tables.diagonal]
-    return 0.25 * gamma_bar * (n + 1) * float(f @ (field.populations - populations_eq))
+    return 0.25 * gamma_bar * (n + 1) * float(f @ (field.rho.diagonal().real - populations_eq))
 
 
 def dissipator_field(field: HusimiField, channel) -> np.ndarray:
     """Phase-space dissipator D(Q) of the channel, sampled on the field's grid.
 
-    Both forms keep each azimuthal order k and are one synthesis of a
-    per-k half spectrum.  Dephasing maps component k to -(lam/2) k^2 g_k.
-    Thermal damping is D(Q) = (1/2)(j- F - j+ F*) = Re(j- F), since
-    j+ F* = -(j- F)*, one formula at every temperature:
-
-        F = gamma_bar [-tau_bar_z (2J Q - jz Q) e^{i phi} sin - (1 + tau_bar_z cos) j+ Q] / 2,
-
-    -(gamma_bar/4)(j- j+ + j+ j-) Q at tau_bar_z = 0, and expanded over the
-    k >= 0 components of Q it is the per-k d_k of the module docstring.
-    A unitary channel raises TypeError.  A field exists only on a
-    grid at or above the band limit n_theta >= 2J + 1, n_phi >= 4J + 1
-    (BandLimitError otherwise).
+    Q is linear in rho, so D(Q) is the Husimi function of the matrix
+    dissipator D[rho], Hermitian like rho: one synthesis from the same
+    pair-space scatter and value rows of the pair table as Q.  A unitary
+    channel's dissipator is zero, and so is its D(Q).  A channel of another
+    spin than the field's raises DimensionError.
     """
-    return channel.phase_space_dissipator(field)
+    if channel.dim != field.j.dim:
+        raise DimensionError("channel spin does not match field spin")
+    tables = field.grid._spin_tables(field.j)
+    coeffs = tables.pairs[: field.grid.n_theta] @ _pair_space(channel.dissipator(field.rho), tables)
+    return coeffs @ tables.trig
 
 
 def floor_mask(field: HusimiField, context: str | None = None) -> tuple:

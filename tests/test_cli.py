@@ -317,6 +317,8 @@ def test_fig2_panels_share_the_sweep_grid(fig_dir):
 
 
 NON_FINITE_STATE = "dim 2\nnan+0j 0j\n0j 0.5+0j\n"
+SPIN_ONE_SWEEP = ["sweep-coherence", "--channel", "dephasing", "--lambda", "1", "--j", "1", "--seed", "1",
+                  "--points", "3"]
 
 
 @pytest.mark.parametrize(
@@ -331,6 +333,10 @@ NON_FINITE_STATE = "dim 2\nnan+0j 0j\n0j 0.5+0j\n"
         (["sweep-coherence", "--channel", "dephasing", "--lambda", "1.0", "--bloch", "0,0,nan"], "Bloch"),
         (["sweep-coherence", "--channel", "dephasing", "--lambda", "1.0", "--bloch", "nan,0,0.2"], "Bloch"),
         (["sweep-coherence", "--channel", "dephasing", "--lambda", "1.0", "--bloch", "inf,0,0"], "Bloch"),
+        # a sweep's maximum is checked as given, before the targets between 0 and it are spaced
+        ([*SPIN_ONE_SWEEP, "--coherence", "inf"], "error: --coherence: must be finite and >= 0, got inf"),
+        ([*SPIN_ONE_SWEEP, "--coherence", "nan"], "error: --coherence: must be finite and >= 0, got nan"),
+        ([*SPIN_ONE_SWEEP, "--coherence", "-0.5"], "error: --coherence: must be finite and >= 0, got -0.5"),
     ],
 )
 def test_non_finite_input_is_a_named_error(tmp_path, capsys, argv, named):
@@ -339,7 +345,17 @@ def test_non_finite_input_is_a_named_error(tmp_path, capsys, argv, named):
     out = tmp_path / "o.csv"
     argv = [str(state) if a == "STATE" else a for a in argv]
     assert run(argv + ["--out", out]) == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "sweep-coherence"])
+def test_a_negative_seed_is_a_named_error(tmp_path, capsys, command):
+    out = tmp_path / "o.csv"
+    argv = [command, "--channel", "dephasing", "--lambda", "1", "--j", "1", "--seed", "-3", "--coherence", "0.3"]
+    assert run(argv + ["--grid", "16x16", "--out", out]) == 2
+    assert capsys.readouterr().err == "error: --seed: must be >= 0, got -3\n"
     assert not out.exists()
 
 

@@ -496,33 +496,6 @@ def test_ladder_actions_match_matrix_commutators_at_workload_spins(two_j):
             assert np.abs(action(field) - oracle).max() < 1e-12, (name, action.__name__)
 
 
-@pytest.mark.parametrize("two_j", range(1, 9))
-def test_half_spectrum_is_the_sum_along_each_diagonal(two_j):
-    # half[o, k] sums rho[r, r + k] times the o-th theta-derivative of a_r a_{r+k} over r, one diagonal at a
-    # time, however the field builds it; it is built on its first read, not with q
-    from spinphase.phase_space import _amplitude_table
-
-    j = SpinJ(two_j)
-    grid = SphereGrid(20, 20)
-    rho = random_rho(np.random.default_rng(90 + two_j), j.dim)
-    a0, a1, a2 = _amplitude_table(j, grid.theta_nodes, orders=3)
-    expected = np.zeros((3, j.dim, grid.n_theta), dtype=complex)
-    for k in range(j.dim):
-        for r in range(j.dim - k):
-            s = r + k
-            products = (a0[r] * a0[s], a1[r] * a0[s] + a0[r] * a1[s], a2[r] * a0[s] + 2 * a1[r] * a1[s] + a0[r] * a2[s])
-            for order, product in enumerate(products):
-                expected[order, k] += rho[r, s] * product
-    field = husimi_field(rho, grid)
-    assert "half" not in vars(field)
-    half = field.half
-    assert half.shape == expected.shape
-    for order in range(3):
-        scale = np.abs(expected[order]).max()
-        assert np.abs(half[order] - expected[order]).max() <= 1e-15 * scale
-    assert field.half is half
-
-
 def test_one_grid_serves_several_spins():
     # the grid caches its tables per spin; alternating spins must not mix them
     grid = SphereGrid(24, 24)
@@ -544,9 +517,9 @@ def test_grid_builds_spin_tables_on_first_field(monkeypatch):
     calls = []
     real = phase_space._amplitude_table
 
-    def counting(j, thetas, orders=3):
+    def counting(j, thetas):
         calls.append(j.two_j)
-        return real(j, thetas, orders)
+        return real(j, thetas)
 
     monkeypatch.setattr(phase_space, "_amplitude_table", counting)
     grid = SphereGrid(128, 128)
@@ -559,14 +532,26 @@ def test_grid_builds_spin_tables_on_first_field(monkeypatch):
     assert calls == [8, 1]
 
 
-def test_channels_without_a_phase_space_dissipator_raise_type_error():
+def test_a_unitary_channel_has_a_zero_phase_space_dissipator():
+    # D(Q) is the Husimi function of D[rho], and a closed evolution has none
     ops = make_spin_operators(QUBIT)
     field = husimi_field(bloch_to_rho([0.3, 0.1, 0.2]), SphereGrid(16, 16))
     chan = UnitaryChannel(hamiltonian=ops.jx)
-    with pytest.raises(TypeError, match="UnitaryChannel"):
-        dissipator_field(field, chan)
-    with pytest.raises(TypeError, match="UnitaryChannel"):
-        wehrl_rate_dissipative(field, chan)
+    assert np.array_equal(dissipator_field(field, chan), np.zeros_like(field.q))
+    assert wehrl_rate_dissipative(field, chan) == 0.0
+
+
+def test_a_channel_of_another_spin_is_rejected():
+    field = husimi_field(bloch_to_rho([0.3, 0.1, 0.2]), SphereGrid(16, 16))
+    for chan in (
+        DephasingChannel(lam=1.0, ops=make_spin_operators(SpinJ(2))),
+        BathParams.from_nbar(1.0, 0.5).channel(make_spin_operators(SpinJ(3))),
+        UnitaryChannel(hamiltonian=make_spin_operators(SpinJ(2)).jx),
+    ):
+        with pytest.raises(DimensionError, match="channel spin does not match field spin"):
+            dissipator_field(field, chan)
+        with pytest.raises(DimensionError, match="channel spin does not match field spin"):
+            wehrl_rate_dissipative(field, chan)
 
 
 @pytest.mark.parametrize("two_j", [2, 4, 8])
