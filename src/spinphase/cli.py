@@ -2,7 +2,8 @@
 
 Every output is a CSV with `#`-prefixed metadata, full-precision floats, and
 a trailing comment block of collected warnings, so a run can be audited and
-reproduced byte for byte from the file alone.
+reproduced byte for byte from the file alone.  State-only columns, and the
+von Neumann column above spin 1/2, each take one pass over a table's stack.
 """
 
 import argparse
@@ -21,27 +22,26 @@ from .dynamics import (
     BathParams,
     DephasingChannel,
     UnitaryChannel,
-    damping_stationary_state,
     evolve,
     qubit_damping_bloch,
     qubit_dephasing_bloch,
 )
+from .dynamics import damping_stationary_state  # noqa: F401  (bench/tracer.py wraps this name)
 from .entropy_production import (
     ep_qubit_damping_closed,
     ep_qubit_dephasing_closed,
     ep_rate_damping_quad,
     ep_rate_dephasing_quad,
-    ep_vn_general,
     ep_vn_qubit_damping,
     ep_vn_qubit_dephasing,
-    vn_rate_dephasing,
+    vn_rates,
 )
+from .entropy_production import ep_vn_general, vn_rate_dephasing  # noqa: F401  (bench/tracer.py wraps these names)
 from .errors import (
     PositivityWarning,
     PurityDivergence,
     QFloorWarning,
     StepCountError,
-    SupportError,
     TemperatureDivergence,
     UnreachableCoherence,
 )
@@ -62,8 +62,8 @@ from .spins import (
 FMT = "%.17e"
 
 
-class CliError(Exception):
-    """Configuration error; message names the offending flag."""
+class CliError(ValueError):
+    """Configuration error; message names the offending flag.  main reports it as it does the library's ValueErrors."""
 
 
 def _parse_j(text: str) -> SpinJ:
@@ -170,12 +170,12 @@ def write_csv(path: str, metadata: dict, header: list, rows: list, notes: list) 
 class _Rates(NamedTuple):
     """A channel with its rates bound: the one place the CLI tells channel kinds apart.
 
-    quad(field) is the quadrature EpReport, closed(tau) the qubit closed
-    form, vn(rho, tau) the von Neumann rate (its qubit closed form when tau
-    is given), time the scaled-time column (name, scale) and meta the rate
-    metadata.  The bound functions look the library functions up as module
-    globals when they run, so whatever is bound to those names then (the
-    benchmark's tracer, say) sees every call.
+    quad(field) is the quadrature EpReport, closed(tau) and vn(tau) the
+    qubit closed forms of the phase-space and von Neumann rates, time the
+    scaled-time column (name, scale) and meta the rate metadata.  The bound
+    functions look the library functions up as module globals when they
+    run, so whatever is bound to those names then (the benchmark's tracer,
+    say) sees every call.
     """
 
     channel: object
@@ -185,27 +185,27 @@ class _Rates(NamedTuple):
     time: tuple
     meta: dict
 
-    def sigma_vn(self, rho, tau) -> float:
-        """von Neumann production rate, or NaN where the route is divergent or undefined."""
+    def sigma_vn(self, states, taus) -> list:
+        """Von Neumann rates, the closed form at each Bloch vector of taus or one vn_rates pass; NaN where divergent."""
         try:
-            return self.vn(rho, tau)
-        except (PurityDivergence, TemperatureDivergence, SupportError):
+            return vn_rates(states, self.channel)[0].tolist() if taus is None else [self._vn_or_nan(t) for t in taus]
+        except TemperatureDivergence:
+            return [math.nan] * len(states)
+
+    def _vn_or_nan(self, tau) -> float:
+        try:
+            return self.vn(tau)
+        except PurityDivergence:
             return math.nan
 
 
 def _dephasing(lam: float, j: SpinJ) -> _Rates:
     channel = DephasingChannel(lam=lam, ops=make_spin_operators(j))
-
-    def vn(rho, tau):
-        if tau is not None:
-            return ep_vn_qubit_dephasing(tau, lam)
-        return vn_rate_dephasing(rho, lam, channel.ops)
-
     return _Rates(
         channel=channel,
         quad=lambda field: ep_rate_dephasing_quad(field, channel),
         closed=lambda tau: ep_qubit_dephasing_closed(tau, lam),
-        vn=vn,
+        vn=lambda tau: ep_vn_qubit_dephasing(tau, lam),
         time=("lambda_t", lam) if lam > 0 else ("t", 1.0),
         meta={"lambda": repr(lam)},
     )
@@ -213,18 +213,11 @@ def _dephasing(lam: float, j: SpinJ) -> _Rates:
 
 def _damping(bath: BathParams, j: SpinJ, meta: dict) -> _Rates:
     channel = bath.channel(make_spin_operators(j))
-    rho_eq = damping_stationary_state(j, bath.nbar)
-
-    def vn(rho, tau):
-        if tau is not None:
-            return ep_vn_qubit_damping(tau, bath)
-        return ep_vn_general(rho, channel, rho_eq).sigma_dot
-
     return _Rates(
         channel=channel,
         quad=lambda field: ep_rate_damping_quad(field, channel),
         closed=lambda tau: ep_qubit_damping_closed(tau, bath),
-        vn=vn,
+        vn=lambda tau: ep_vn_qubit_damping(tau, bath),
         time=("gamma_bar_t", bath.gamma_bar) if bath.gamma_bar > 0 else ("t", 1.0),
         meta=meta,
     )
@@ -269,12 +262,15 @@ def _run_rows(row: Callable, items) -> tuple:
     return [cells for cells, _ in results], list(dict.fromkeys(note for _, notes in results for note in notes))
 
 
-def _draw(j: SpinJ, coherence, seed: int) -> np.ndarray:
-    """The seeded random state (or stack, one per target) of --seed and --coherence."""
+def _draw(j: SpinJ, coherence: float, seed: int, points: int | None = None) -> np.ndarray:
+    """The seeded random state of --seed and --coherence, or a sweep's stack of points targets from 0 to --coherence."""
+    if not 0.0 <= coherence < math.inf:
+        raise CliError(f"--coherence: must be finite and >= 0, got {coherence}")
     if seed < 0:
         raise CliError(f"--seed: must be >= 0, got {seed}")
+    targets = coherence if points is None else np.linspace(0.0, coherence, points)
     try:
-        return random_state_with_coherence(j.dim, coherence, seed)
+        return random_state_with_coherence(j.dim, targets, seed)
     except UnreachableCoherence as exc:
         raise CliError(f"--coherence: {exc}") from None
 
@@ -343,17 +339,16 @@ def cmd_evolve(args) -> int:
     state_names, state_values = _state_table(traj.states, j)
     s_vn = von_neumann_entropy(traj.states).tolist()
     c_l1 = l1_coherence(traj.states).tolist()
+    sigma_vn = rates.sigma_vn(traj.states, state_values if is_qubit else None)
 
     def row(i):
-        rho = traj.states[i]
-        field = husimi_field(rho, grid)
+        field = husimi_field(traj.states[i], grid)
         report = rates.quad(field)
-        tau = state_values[i] if is_qubit else None
         cells = [traj.times[i] * t_scale, *state_values[i].tolist()]
         cells += [s_vn[i], wehrl_entropy(field), c_l1[i], report.sigma_dot]
         if is_qubit:
-            cells.append(rates.closed(tau))
-        cells += [rates.sigma_vn(rho, tau), report.phi_dot, len(report.warnings)]
+            cells.append(rates.closed(state_values[i]))
+        cells += [sigma_vn[i], report.phi_dot, len(report.warnings)]
         return cells, report.warnings
 
     rows, notes = _run_rows(row, range(len(traj.states)))
@@ -380,14 +375,14 @@ SWEEP_HEADER = ["coherence_fig", "coherence_l1", "sigma_wehrl", "sigma_vn"]
 
 
 def _sweep_table(rates: _Rates, grid: SphereGrid, states, taus, coherence_fig) -> tuple:
-    """SWEEP_HEADER rows and notes of states whose Bloch vectors (None: use the matrix vN route) are taus."""
+    """SWEEP_HEADER rows and notes of states whose Bloch vectors (None: a stack for the matrix vN route) are taus."""
+    sigma_vn = rates.sigma_vn(states, taus)
 
-    def row(item):
-        rho, tau, c_fig = item
-        report = rates.quad(husimi_field(rho, grid))
-        return [c_fig, l1_coherence(rho), report.sigma_dot, rates.sigma_vn(rho, tau)], report.warnings
+    def row(i):
+        report = rates.quad(husimi_field(states[i], grid))
+        return [coherence_fig[i], l1_coherence(states[i]), report.sigma_dot, sigma_vn[i]], report.warnings
 
-    return _run_rows(row, zip(states, taus, coherence_fig))
+    return _run_rows(row, range(len(states)))
 
 
 def _qubit_sweep_states(tau_z: float, n_points: int) -> tuple:
@@ -422,10 +417,8 @@ def cmd_sweep_coherence(args) -> int:
         _reject_unread({"--bloch": args.bloch}, "a sweep above --j 1/2")
         if args.seed is None or args.coherence is None:
             raise CliError("dim > 2 sweeps need --seed and --coherence (the sweep's maximum)")
-        if not 0.0 <= args.coherence < math.inf:
-            raise CliError(f"--coherence: must be finite and >= 0, got {args.coherence}")
-        states = _draw(j, np.linspace(0.0, args.coherence, args.points), args.seed)
-        rows, notes = _sweep_table(rates, grid, states, [None] * args.points, [math.nan] * args.points)
+        states = _draw(j, args.coherence, args.seed, args.points)
+        rows, notes = _sweep_table(rates, grid, states, None, [math.nan] * args.points)
         meta.update({"seed": args.seed, "coherence_max": repr(args.coherence)})
     write_csv(args.out, meta, SWEEP_HEADER, rows, notes)
     return 0
@@ -613,9 +606,6 @@ def main(argv=None) -> int:
         if args.command == "evolve":
             return cmd_evolve(args)
         return cmd_sweep_coherence(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1

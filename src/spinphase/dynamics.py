@@ -83,12 +83,15 @@ class DephasingChannel(Channel):
     ops: SpinOperators
     hamiltonian: np.ndarray | None = None
     weights: np.ndarray = field(init=False, repr=False)
+    stationary_log_populations: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         check_dephasing_rate(self.lam)
         object.__setattr__(self, "hamiltonian", read_only(self.hamiltonian))
         # the dissipator scales each entry, so its value at rho = 1 is the weight table
         object.__setattr__(self, "weights", read_only(dephasing_dissipator(self.lam, self.ops, 1.0)))
+        # unital, so the stationary state is uniform, as at infinite temperature
+        object.__setattr__(self, "stationary_log_populations", damping_stationary_log_populations(self.ops.j, math.inf))
 
     dim = property(lambda self: self.ops.j.dim)
 
@@ -162,19 +165,22 @@ class AmplitudeDampingChannel(Channel):
     The rates are read from the one BathParams the channel carries, as
     (gamma_bar +- gamma) / 2 with gamma_bar = gamma (2 nbar + 1), the total
     relaxation rate that stays finite in the infinite-temperature limit
-    gamma -> 0, nbar -> inf.  stationary_populations, the read-only p_m of
-    the stationary state, is built here because every damping flux reads it.
+    gamma -> 0, nbar -> inf.  The read-only stationary_populations p_m, which
+    every damping flux reads, and stationary_log_populations, their closed
+    form logarithms and every von Neumann rate's reference, are built here.
     """
 
     bath: BathParams
     ops: SpinOperators
     hamiltonian: np.ndarray | None = None
     stationary_populations: np.ndarray = field(init=False, repr=False)
+    stationary_log_populations: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "hamiltonian", read_only(self.hamiltonian))
-        populations = damping_stationary_populations(self.ops.j, self.bath.nbar)
-        object.__setattr__(self, "stationary_populations", populations)
+        j, nbar = self.ops.j, self.bath.nbar
+        object.__setattr__(self, "stationary_populations", damping_stationary_populations(j, nbar))
+        object.__setattr__(self, "stationary_log_populations", damping_stationary_log_populations(j, nbar))
 
     dim = property(lambda self: self.ops.j.dim)
 
@@ -331,9 +337,28 @@ def damping_stationary_populations(j: SpinJ, nbar: float) -> np.ndarray:
     return populations
 
 
+def damping_stationary_log_populations(j: SpinJ, nbar: float) -> np.ndarray:
+    """Read-only ln p_m = (J + m) ln x - ln Z, x = nbar / (nbar + 1), in closed form; -inf above m = -J at nbar 0."""
+    rungs = j.m_values + j.j
+    if nbar == 0.0:
+        return read_only(np.where(rungs == 0.0, 0.0, -np.inf))
+    # ln x in the form that keeps full relative accuracy on its side of nbar = 1; -0.0 at infinite nbar
+    log_w = rungs * (math.log(nbar) - math.log1p(nbar) if nbar < 1.0 else -math.log1p(1.0 / nbar))
+    # the last rung is the ground one, of weight 1, so ln Z is log1p of the other weights
+    return read_only(log_w - math.log1p(float(np.exp(log_w[:-1]).sum())))
+
+
 def damping_stationary_state(j: SpinJ, nbar: float) -> np.ndarray:
     """Stationary state of the ladder damping channel: diagonal, with damping_stationary_populations."""
     return np.diag(damping_stationary_populations(j, nbar).astype(complex))
+
+
+def check_diagonal_hamiltonian(spec: Channel) -> None:
+    """Raise BasisError unless the channel's Hamiltonian is None or diagonal to 1e-12 in the working basis."""
+    ham = spec.hamiltonian
+    off = 0.0 if ham is None else np.abs(ham - np.diag(np.diag(ham))).max()
+    if off > 1e-12:
+        raise BasisError(f"Hamiltonian has off-diagonal weight {off:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,11 +374,7 @@ def pauli_rates_from_davies(spec: AmplitudeDampingChannel) -> PauliRates:
     Requires a Hamiltonian diagonal in the working basis (or none), since
     the population sector only closes on itself in that case.
     """
-    ham = spec.hamiltonian
-    if ham is not None:
-        off = np.abs(ham - np.diag(np.diag(ham))).max()
-        if off > 1e-12:
-            raise BasisError(f"Hamiltonian has off-diagonal weight {off:.3e}")
+    check_diagonal_hamiltonian(spec)
     w = sum(rate * np.abs(jump) ** 2 for rate, jump in spec.jumps)
     np.fill_diagonal(w, 0.0)
     return PauliRates(w=w)

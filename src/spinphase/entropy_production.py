@@ -6,7 +6,9 @@ dS/dt = sigma - phi: sigma integrates the squared currents over Q, and the
 damping flux, linear in Q, reads the state's populations alone.  Closed
 forms specialize it to the qubit; the von Neumann route differentiates
 S(rho || rho_eq).  The two routes bound each other but are genuinely
-different functionals, which is the point of keeping both.
+different functionals, which is the point of keeping both.  The von
+Neumann route takes one state (ep_vn_general, vn_rate_dephasing) or, in
+one batched pass, a stack (vn_rates, the reference read from the channel).
 """
 
 import functools
@@ -16,11 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import AmplitudeDampingChannel, BathParams, DephasingChannel, check_dephasing_rate, dephasing_dissipator
+from .dynamics import check_diagonal_hamiltonian
 from .dynamics import apply_liouvillian  # noqa: F401  (bench/tracer.py wraps this name)
 from .errors import DimensionError, PurityDivergence, SupportError, TemperatureDivergence
 from .phase_space import FLOOR_NOTE, HusimiField, damping_flux, floor_mask
 from .phase_space import wehrl_rate_dissipative  # noqa: F401  (bench/tracer.py wraps this name)
-from .spins import check_bloch_vector, density_eigh
+from .spins import check_bloch_vector, density_eigh, density_eigh_stack
 from .spins import check_density_matrix  # noqa: F401  (bench/tracer.py wraps this name)
 from .spins import make_spin_operators  # noqa: F401  (bench/tracer.py wraps this name)
 
@@ -268,3 +271,30 @@ def vn_rate_dephasing(rho: np.ndarray, lam: float, ops) -> float:
         raise DimensionError(f"state shape {rho.shape} does not match spin operators {ops.jz.shape}")
     gen = dephasing_dissipator(lam, ops, rho)
     return -float(np.vdot(log_rho, gen).real)
+
+
+def vn_rates(states: np.ndarray, channel) -> tuple:
+    """ep_vn_general's (sigma_dot, phi_dot, ds_dt) of each state in an (N, d, d) stack, as float arrays of shape (N,).
+
+    ln rho_eq is diag(channel.stationary_log_populations).  One stacked
+    validation, one batched eigh, one GEMM with the channel's generator and
+    one contraction per trace; a state whose smallest eigenvalue is below
+    PURITY_CUT gets NaN in its row.  Raises TemperatureDivergence at a
+    zero-temperature bath, and BasisError for damping under a non-diagonal
+    Hamiltonian.
+    """
+    log_eq = channel.stationary_log_populations
+    if isinstance(channel, AmplitudeDampingChannel):
+        check_diagonal_hamiltonian(channel)
+    if not np.isfinite(log_eq).all():
+        raise TemperatureDivergence("zero-temperature bath: ln rho_eq diverges")
+    states, vals, vecs = density_eigh_stack(states, channel.dim)
+    full = vals[:, 0] >= PURITY_CUT
+    # ln 1 = 0 stands in at a rank-deficient state, whose row is NaN below
+    log_rho = (vecs * np.log(np.where(full[:, None], vals, 1.0))[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+    gen = (states.reshape(len(states), -1) @ channel.generator.T).reshape(states.shape)
+    # tr(G X) = vdot(X, G) for Hermitian X
+    sigma = -np.einsum("nij,nij->n", (log_rho - np.diag(log_eq)).conj(), gen).real
+    flux = np.einsum("nii,i->n", gen, log_eq).real
+    ds_dt = -np.einsum("nij,nij->n", log_rho.conj(), gen).real
+    return tuple(np.where(full, rate, np.nan) for rate in (sigma, flux, ds_dt))

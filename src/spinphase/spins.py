@@ -143,6 +143,27 @@ def density_eigh(rho: np.ndarray) -> tuple:
     return _validated(rho, with_vectors=True)
 
 
+def density_eigh_stack(states, dim: int) -> tuple:
+    """density_eigh of each state of an (N, dim, dim) stack, in one batched pass; a bad state's error names it."""
+    states = np.asarray(states, dtype=complex)
+    if states.ndim != 3 or states.shape[1:] != (dim, dim):
+        raise DimensionError(f"expected an (N, {dim}, {dim}) stack of density matrices, got shape {states.shape}")
+    with np.errstate(invalid="ignore", over="ignore"):
+        herm = np.abs(states - states.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = ~(herm <= HERMITICITY_TOL) | (np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0) > TRACE_TOL)
+    # a state that already failed is swapped for a valid one, so the eigh sees finite Hermitian input only
+    vals, vecs = np.linalg.eigh(np.where(bad[:, None, None], np.eye(dim), states) if bad.any() else states)
+    bad |= vals[:, 0] < EIG_FLOOR
+    if bad.any():
+        first = int(np.argmax(bad))
+        try:
+            _validated(states[first], with_vectors=True)
+            raise StateValidationError(f"negative eigenvalue {vals[first, 0]:.3e} below floor {EIG_FLOOR}")
+        except StateValidationError as exc:
+            raise StateValidationError(f"state {first}: {exc}") from None
+    return states, vals, vecs
+
+
 def check_bloch_vector(tau) -> tuple:
     """(tau as floats, its norm) of 3 finite components of norm <= 1 + 1e-12, else DimensionError or BlochNormError."""
     tau = np.asarray(tau, dtype=float)

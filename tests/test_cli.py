@@ -330,6 +330,9 @@ SPIN_ONE_SWEEP = ["sweep-coherence", "--channel", "dephasing", "--lambda", "1", 
         (["evolve", "--channel", "dephasing", "--lambda", "1.0", "--state", "STATE"], "non-finite"),
         (["evolve", "--channel", "dephasing", "--j", "1", "--lambda", "1.0", "--seed", "1", "--coherence", "nan"],
          "coherence"),
+        # evolve checks its target as a sweep checks its maximum
+        (["evolve", "--channel", "dephasing", "--lambda", "1", "--j", "1", "--seed", "1", "--coherence", "-0.5"],
+         "error: --coherence: must be finite and >= 0, got -0.5"),
         (["sweep-coherence", "--channel", "dephasing", "--lambda", "1.0", "--bloch", "0,0,nan"], "Bloch"),
         (["sweep-coherence", "--channel", "dephasing", "--lambda", "1.0", "--bloch", "nan,0,0.2"], "Bloch"),
         (["sweep-coherence", "--channel", "dephasing", "--lambda", "1.0", "--bloch", "inf,0,0"], "Bloch"),
@@ -604,3 +607,34 @@ def test_evolve_takes_state_only_columns_from_the_trajectory_stack(tmp_path, mon
     assert len(entropies) == 1 and len(coherences) == 1
     _, _, rows, _ = load_csv(tmp_path / "e.csv")
     assert len(rows) == 3
+
+
+LOW_TEMPERATURE = ["--channel", "damping", "--j", "4", "--gamma", "1", "--nbar", "0.03", "--seed", "7", "--grid", "32x32"]
+
+
+def test_low_temperature_von_neumann_column_is_finite(tmp_path):
+    # the reference state's smallest population is below 1e-12 here, and its logarithm is still finite
+    assert run(["sweep-coherence", *LOW_TEMPERATURE, "--coherence", "0.5", "--points", "3",
+                "--out", tmp_path / "s.csv"]) == 0
+    assert run(["evolve", *LOW_TEMPERATURE, "--coherence", "0.5", "--tmax", "0.1", "--steps", "4",
+                "--out", tmp_path / "e.csv"]) == 0
+    for name, count in (("s.csv", 3), ("e.csv", 5)):
+        _, header, rows, _ = load_csv(tmp_path / name)
+        sigma_vn = column(header, rows, "sigma_vn")
+        assert len(sigma_vn) == count and all(math.isfinite(x) and x > 0.0 for x in sigma_vn)
+
+
+def test_von_neumann_column_above_spin_half_is_one_stacked_pass(tmp_path, monkeypatch):
+    from spinphase import cli
+
+    stacks = _count_calls(monkeypatch, cli, "vn_rates")
+    damping = ["--channel", "damping", "--gamma", "1", "--nbar", "0.5", "--j", "1", "--seed", "3", "--grid", "16x16"]
+    assert run(["evolve", *damping, "--coherence", "0.4", "--tmax", "0.1", "--steps", "4",
+                "--out", tmp_path / "e.csv"]) == 0
+    assert run(["sweep-coherence", *damping, "--coherence", "0.4", "--points", "3", "--out", tmp_path / "s.csv"]) == 0
+    assert [args[0].shape for args in stacks] == [(5, 3, 3), (3, 3, 3)]
+    # a zero-temperature bath makes the whole column nan, as the qubit closed form does
+    assert run(["sweep-coherence", "--channel", "damping", "--gamma", "1", "--nbar", "0", "--j", "1", "--seed", "3",
+                "--grid", "16x16", "--coherence", "0.4", "--points", "3", "--out", tmp_path / "z.csv"]) == 0
+    _, header, rows, _ = load_csv(tmp_path / "z.csv")
+    assert all(math.isnan(x) for x in column(header, rows, "sigma_vn"))

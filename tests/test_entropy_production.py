@@ -10,6 +10,7 @@ import scipy.linalg
 from spinphase import dynamics
 from spinphase import (
     AmplitudeDampingChannel,
+    BasisError,
     BathParams,
     DephasingChannel,
     BlochNormError,
@@ -19,9 +20,11 @@ from spinphase import (
     QFloorWarning,
     SphereGrid,
     SpinJ,
+    StateValidationError,
     SupportError,
     TemperatureDivergence,
     bloch_to_rho,
+    check_density_matrix,
     coherent_amplitudes,
     damping_stationary_state,
     dissipator_field,
@@ -37,6 +40,7 @@ from spinphase import (
     make_spin_operators,
     random_state_with_coherence,
     vn_rate_dephasing,
+    vn_rates,
     wehrl_entropy,
     wehrl_rate_dissipative,
 )
@@ -701,3 +705,155 @@ def test_hot_damping_approaches_the_infinite_temperature_rates(two_j):
         assert abs(hot.sigma_dot - cold.sigma_dot) < 20.0 / nbar * abs(cold.sigma_dot)
         assert abs(hot.ds_dt - cold.ds_dt) < 20.0 / nbar * abs(cold.ds_dt)
         assert np.abs(d_hot - d_limit).max() < 20.0 / nbar * np.abs(d_limit).max()
+
+
+def _channels(ops):
+    """(channel, per-state rates of rho) of dephasing and of damping at nbar 0.5 and infinity, from the per-state path."""
+    j = ops.j
+    lam = 0.7
+    out = [(DephasingChannel(lam=lam, ops=ops), lambda rho: (None, None, vn_rate_dephasing(rho, lam, ops)))]
+    for bath, nbar in ((BathParams.from_nbar(1.3, 0.5), 0.5), (BathParams.from_tau_bar(0.9, 0.0), math.inf)):
+        chan = bath.channel(ops)
+        rho_eq = damping_stationary_state(j, nbar)
+        out.append((chan, lambda rho, chan=chan, rho_eq=rho_eq: _report_rates(ep_vn_general(rho, chan, rho_eq))))
+    return out
+
+
+def _report_rates(report):
+    return report.sigma_dot, report.phi_dot, report.ds_dt
+
+
+@pytest.mark.parametrize("two_j", range(1, 9))
+def test_vn_rates_match_the_per_state_path(two_j):
+    ops = make_spin_operators(SpinJ(two_j))
+    states = np.stack([_full_rank_state(ops.j.dim, 200 + k) for k in range(5)])
+    for chan, per_state in _channels(ops):
+        stacked = vn_rates(states, chan)
+        assert all(rate.shape == (5,) and rate.dtype == float for rate in stacked)
+        for k, rho in enumerate(states):
+            expected = per_state(rho)
+            scale = max(abs(v) for v in expected if v is not None)
+            for value, ref in zip((rate[k] for rate in stacked), expected):
+                if ref is not None:
+                    assert abs(value - ref) <= 1e-13 * scale
+
+
+def _mp_log_eq(two_j, nbar):
+    """ln p_m of the ladder damping's stationary state, m = J ... -J, in mpmath."""
+    x = mpmath.mpf(nbar) / (mpmath.mpf(nbar) + 1)
+    weights = [x ** (two_j - r) for r in range(two_j + 1)]
+    log_z = mpmath.log(mpmath.fsum(weights))
+    return [mpmath.log(w) - log_z for w in weights]
+
+
+def _mp_damping_generator(rho, two_j, gamma, nbar):
+    """L[rho] of ladder damping in mpmath: loss gamma (nbar + 1) through J-, gain gamma nbar through J+."""
+    d = two_j + 1
+    jplus = mpmath.zeros(d, d)
+    for r in range(d - 1):
+        m = mpmath.mpf(two_j) / 2 - (r + 1)
+        jplus[r, r + 1] = mpmath.sqrt(mpmath.mpf(two_j) / 2 * (mpmath.mpf(two_j) / 2 + 1) - m * (m + 1))
+    jminus = jplus.T
+    out = mpmath.zeros(d, d)
+    for rate, l_op in ((gamma * (nbar + 1), jminus), (gamma * nbar, jplus)):
+        ldl = l_op.T * l_op
+        out += rate * (l_op * rho * l_op.T - (ldl * rho + rho * ldl) / 2)
+    return out
+
+
+@pytest.mark.parametrize("two_j", range(1, 9))
+def test_vn_rates_at_low_temperature_match_an_mpmath_logm_oracle(two_j):
+    # the reference state's smallest population reaches x^(2J), about 1e-24 at two_j 8 and nbar 1e-3: its
+    # logarithm is read from the channel in closed form, not from a decomposition of rho_eq
+    ops = make_spin_operators(SpinJ(two_j))
+    rho = random_state_with_coherence(two_j + 1, 0.25, seed=7)
+    with mpmath.workdps(40):
+        rho_mp = mpmath.matrix(rho.tolist())
+        log_rho = mpmath.logm(rho_mp)
+        for nbar in (1e-3, 1e-2, 0.03):
+            gen = _mp_damping_generator(rho_mp, two_j, mpmath.mpf(1), mpmath.mpf(nbar))
+            log_eq = _mp_log_eq(two_j, nbar)
+            ds_dt = -mpmath.re(sum(gen[a, b] * log_rho[b, a] for a in range(two_j + 1) for b in range(two_j + 1)))
+            flux = mpmath.re(mpmath.fsum(gen[a, a] * log_eq[a] for a in range(two_j + 1)))
+            expected = [float(ds_dt + flux), float(flux), float(ds_dt)]
+            got = vn_rates(rho[None], BathParams.from_nbar(1.0, nbar).channel(ops))
+            for value, ref in zip(got, expected):
+                assert abs(value[0] - ref) <= 1e-12 * abs(expected[0])
+
+
+def test_vn_rates_low_temperature_reference_values():
+    # sigma_vN of one seeded two_j 8 state under damping with gamma 1 at nbar 0.03, 0.01 and 0.001
+    ops = make_spin_operators(SpinJ(8))
+    rho = random_state_with_coherence(9, 0.25, seed=7)
+    for nbar, expected in ((0.03, 73.377839310068871), (0.01, 88.789982605892284), (0.001, 122.69733271626576)):
+        sigma = vn_rates(rho[None], BathParams.from_nbar(1.0, nbar).channel(ops))[0][0]
+        assert sigma == pytest.approx(expected, rel=1e-14)
+
+
+def test_vn_rates_give_nan_at_a_rank_deficient_state_only():
+    ops = make_spin_operators(SpinJ(2))
+    pure = np.diag([0.0, 1.0, 0.0]).astype(complex)
+    states = np.stack([_full_rank_state(3, 1), pure, _full_rank_state(3, 2)])
+    for chan, per_state in _channels(ops):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rates = vn_rates(states, chan)
+        for rate in rates:
+            assert math.isnan(rate[1]) and np.isfinite(rate[[0, 2]]).all()
+        assert rates[2][0] == pytest.approx(per_state(states[0])[2], rel=1e-13)
+
+
+def test_vn_rates_name_the_first_bad_state():
+    chan = BathParams.from_nbar(1.0, 0.5).channel(make_spin_operators(SpinJ(2)))
+    good = _full_rank_state(3, 1)
+    skew, negative, unnormalized = good.copy(), np.diag([1.2, 0.0, -0.2]).astype(complex), 2.0 * good
+    skew[0, 1] += 1e-6
+    # (stack, index of its first bad state, the start of that state's own error)
+    cases = (
+        ([good, skew, negative], 1, "matrix not Hermitian: max |rho - rho^+| = 1.000e-06"),
+        ([good, good, negative, skew], 2, "negative eigenvalue -2.000e-01 below floor -1e-10"),
+        ([unnormalized, skew], 0, "trace must be 1"),
+        ([good, np.full((3, 3), np.nan)], 1, "density matrix has non-finite entries"),
+    )
+    for states, first, start in cases:
+        with pytest.raises(StateValidationError, match=r"^state \d+: ") as stacked:
+            vn_rates(np.stack(states), chan)
+        with pytest.raises(StateValidationError) as own:
+            check_density_matrix(states[first])
+        assert str(own.value).startswith(start)
+        assert str(stacked.value) == f"state {first}: {own.value}"
+    with pytest.raises(DimensionError):
+        vn_rates(good, chan)
+    with pytest.raises(DimensionError):
+        vn_rates(np.eye(2, dtype=complex)[None] / 2.0, chan)
+
+
+def test_vn_rates_diverge_at_zero_temperature_and_need_a_diagonal_hamiltonian():
+    ops = make_spin_operators(SpinJ(2))
+    states = _full_rank_state(3, 4)[None]
+    with pytest.raises(TemperatureDivergence):
+        vn_rates(states, BathParams.from_nbar(1.0, 0.0).channel(ops))
+    bath = BathParams.from_nbar(1.0, 0.5)
+    with pytest.raises(BasisError):
+        vn_rates(states, AmplitudeDampingChannel(bath, ops, hamiltonian=np.array(ops.jx)))
+    # a diagonal Hamiltonian keeps the thermal state stationary, so it is the reference
+    chan = AmplitudeDampingChannel(bath, ops, hamiltonian=1.1 * np.array(ops.jz))
+    expected = ep_vn_general(states[0], chan, damping_stationary_state(ops.j, 0.5))
+    got = vn_rates(states, chan)
+    for value, ref in zip(got, _report_rates(expected)):
+        assert abs(value[0] - ref) <= 1e-13 * abs(expected.sigma_dot)
+
+
+@pytest.mark.parametrize("two_j", [1, 4, 8])
+def test_stationary_log_populations_are_the_logarithms_of_the_populations(two_j):
+    j = SpinJ(two_j)
+    ops = make_spin_operators(j)
+    for nbar in (1e-3, 0.5, 1e8):
+        chan = BathParams.from_nbar(1.0, nbar).channel(ops)
+        assert not chan.stationary_log_populations.flags.writeable
+        np.testing.assert_allclose(np.exp(chan.stationary_log_populations), chan.stationary_populations, rtol=1e-13)
+        expected = [float(v) for v in _mp_log_eq(two_j, nbar)]
+        np.testing.assert_allclose(chan.stationary_log_populations, expected, rtol=1e-14, atol=1e-15)
+    np.testing.assert_array_equal(DephasingChannel(lam=1.0, ops=ops).stationary_log_populations, -math.log(j.dim))
+    zero = BathParams.from_nbar(1.0, 0.0).channel(ops).stationary_log_populations
+    assert zero[-1] == 0.0 and np.isneginf(zero[:-1]).all()

@@ -3,6 +3,7 @@ module attributes it names.  A refactor that renames one, or that makes the
 CLI call a library function through a reference bound at import time, would
 silently blank the per-layer metrics of `bench/run.py --trace 1`."""
 
+import ast
 import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
@@ -50,3 +51,36 @@ def test_cli_calls_go_through_the_traced_names(tmp_path):
     assert metrics["entropy_production.vn_calls"] == rows
     assert metrics["dynamics.steps"] == 2
     assert metrics["dynamics.liouvillian_calls"] == 4  # one RK4 step on the basis stack builds the step map
+
+
+def test_a_traced_evolve_above_spin_half_completes(tmp_path):
+    # the von Neumann column of a d > 2 table is one stacked pass; a stack handed to a traced name would make
+    # the tracer's per-call hooks raise, and this run would fail
+    tracer = load_tracer().Tracer(MODULES)
+    tracer.install()
+    try:
+        code = cli.main([
+            "evolve", "--channel", "damping", "--j", "1", "--gamma", "1.0", "--nbar", "0.5", "--seed", "3",
+            "--coherence", "0.4", "--tmax", "0.1", "--steps", "2", "--grid", "16x16", "--out", str(tmp_path / "o.csv"),
+        ])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    metrics = tracer.metrics(1.0, 1.0, 1.0)
+    assert metrics["cli.rows"] == 3
+    assert metrics["phase_space.husimi_calls"] == 3
+    assert metrics["entropy_production.vn_calls"] == 0
+
+
+def test_every_kept_unused_import_names_a_traced_name():
+    # an import kept only for bench/tracer.py says so with `# noqa: F401`; each must be one the tracer wraps
+    tracer = load_tracer()
+    traced = {(ns, attr) for ns, attr, *_ in tracer.SPANS + tracer.COUNTED}
+    package = Path(__file__).resolve().parents[1] / "src" / "spinphase"
+    kept = []
+    for path in sorted(package.glob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, ast.ImportFrom):
+                kept += [(path.stem, a.asname or a.name) for a in node.names if "# noqa: F401" in lines[a.lineno - 1]]
+    assert kept and [name for name in kept if name not in traced] == []

@@ -2,15 +2,18 @@
 
 The benchmark's `sweep_spin4` and `figures_qubit` workloads report their
 per-layer metrics from these rows, so each row must make exactly one
-Husimi synthesis, one quadrature rate and one von Neumann rate call that
-the tracer sees.
+Husimi synthesis and one quadrature rate call that the tracer sees, and
+each qubit row one von Neumann rate call.
 """
 
 from spinphase import cli
 from test_tracer_contract import MODULES, load_tracer
 
 
-def test_sweep_and_fig2_rows_go_through_the_traced_names(tmp_path):
+def test_sweep_and_fig2_rows_go_through_the_traced_names(tmp_path, monkeypatch):
+    stacks = []
+    vn_rates = cli.vn_rates
+    monkeypatch.setattr(cli, "vn_rates", lambda states, channel: stacks.append(len(states)) or vn_rates(states, channel))
     tracer = load_tracer().Tracer(MODULES)
     tracer.install()
     try:
@@ -33,6 +36,8 @@ def test_sweep_and_fig2_rows_go_through_the_traced_names(tmp_path):
     assert metrics["cli.rows"] == rows
     assert metrics["phase_space.husimi_calls"] == rows
     assert metrics["entropy_production.quad_calls"] == rows
-    assert metrics["entropy_production.vn_calls"] == rows
+    # the qubit rows each take a closed form; the spin-one sweep takes its column in one vn_rates pass
+    assert metrics["entropy_production.vn_calls"] == 4 + 2 * 51
+    assert stacks == [3]
     # one Bloch state per qubit point, one seeded draw per random sweep
     assert metrics["spins.state_prep_calls"] == 4 + 1 + 2 * 51
