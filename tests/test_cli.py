@@ -330,9 +330,6 @@ SPIN_ONE_SWEEP = ["sweep-coherence", "--channel", "dephasing", "--lambda", "1", 
         (["evolve", "--channel", "dephasing", "--lambda", "1.0", "--state", "STATE"], "non-finite"),
         (["evolve", "--channel", "dephasing", "--j", "1", "--lambda", "1.0", "--seed", "1", "--coherence", "nan"],
          "coherence"),
-        # evolve checks its target as a sweep checks its maximum
-        (["evolve", "--channel", "dephasing", "--lambda", "1", "--j", "1", "--seed", "1", "--coherence", "-0.5"],
-         "error: --coherence: must be finite and >= 0, got -0.5"),
         (["sweep-coherence", "--channel", "dephasing", "--lambda", "1.0", "--bloch", "0,0,nan"], "Bloch"),
         (["sweep-coherence", "--channel", "dephasing", "--lambda", "1.0", "--bloch", "nan,0,0.2"], "Bloch"),
         (["sweep-coherence", "--channel", "dephasing", "--lambda", "1.0", "--bloch", "inf,0,0"], "Bloch"),
@@ -340,6 +337,9 @@ SPIN_ONE_SWEEP = ["sweep-coherence", "--channel", "dephasing", "--lambda", "1", 
         ([*SPIN_ONE_SWEEP, "--coherence", "inf"], "error: --coherence: must be finite and >= 0, got inf"),
         ([*SPIN_ONE_SWEEP, "--coherence", "nan"], "error: --coherence: must be finite and >= 0, got nan"),
         ([*SPIN_ONE_SWEEP, "--coherence", "-0.5"], "error: --coherence: must be finite and >= 0, got -0.5"),
+        # evolve checks its target as a sweep checks its maximum
+        (["evolve", "--channel", "dephasing", "--lambda", "1", "--j", "1", "--seed", "1", "--coherence", "-0.5"],
+         "error: --coherence: must be finite and >= 0, got -0.5"),
     ],
 )
 def test_non_finite_input_is_a_named_error(tmp_path, capsys, argv, named):
