@@ -4,6 +4,10 @@ Every output is a CSV with `#`-prefixed metadata, full-precision floats, and
 a trailing comment block of collected warnings, so a run can be audited and
 reproduced byte for byte from the file alone.  State-only columns, and the
 von Neumann column above spin 1/2, each take one pass over a table's stack.
+The phase-space columns (Husimi fields, quadrature rates, Wehrl entropy)
+take the stack in blocks of at most BLOCK_NODES grid nodes, each block one
+stacked call of each library function: one state per block at 128^2,
+sixteen at 32^2, so a block's temporaries stay those of one 128^2 field.
 """
 
 import argparse
@@ -60,6 +64,8 @@ from .spins import (
 )
 
 FMT = "%.17e"
+# grid nodes per stacked phase-space call; at 128 x 128 a block holds one state
+BLOCK_NODES = 128 * 128
 
 
 class CliError(ValueError):
@@ -250,16 +256,50 @@ def _build_channel(args, j: SpinJ) -> _Rates:
     return _damping(bath, j, {"gamma": repr(args.gamma), "nbar": repr(args.nbar)})
 
 
-def _run_rows(row: Callable, items) -> tuple:
-    """Run row(item) for each item, each returning (row, floor notes), with QFloorWarning silenced.
+class _PhaseSpace(NamedTuple):
+    """The phase-space columns of a table's states, one entry per state; s_q is None unless asked for."""
 
-    Returns the rows in order and the distinct notes in first-seen order,
-    which the CSV carries as its trailing warning lines.
+    sigma: list
+    phi_dot: list
+    s_q: list | None
+    notes: list
+
+
+def _run_rows(rates: _Rates, grid: SphereGrid, states, with_entropy: bool = False) -> tuple:
+    """The phase-space columns of a table's rows, from its (N, d, d) stack, with QFloorWarning silenced.
+
+    The stack is run in blocks of at most BLOCK_NODES grid nodes (at least
+    one state each), every block one stacked Husimi field, one quadrature
+    report and, with_entropy, one Wehrl entropy call.  Returns the columns
+    (_PhaseSpace) and the distinct floor notes in first-seen order, which
+    the CSV carries as its trailing warning lines.
     """
+    states = np.asarray(states, dtype=complex)
+    size = max(1, BLOCK_NODES // (grid.n_theta * grid.n_phi))
+
+    def block(lo):
+        field = husimi_field(states[lo : lo + size], grid)
+        return rates.quad(field), wehrl_entropy(field) if with_entropy else None
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", QFloorWarning)
-        results = _run_tasks([functools.partial(row, item) for item in items], True)
-    return [cells for cells, _ in results], list(dict.fromkeys(note for _, notes in results for note in notes))
+        results = _run_tasks([functools.partial(block, lo) for lo in range(0, len(states), size)], True)
+    reports = [report for report, _ in results]
+    notes = [state_notes for report in reports for state_notes in report.warnings]
+    return _PhaseSpace(
+        sigma=np.concatenate([report.sigma_dot for report in reports]).tolist(),
+        phi_dot=np.concatenate([report.phi_dot for report in reports]).tolist(),
+        s_q=np.concatenate([s_q for _, s_q in results]).tolist() if with_entropy else None,
+        notes=notes,
+    ), list(dict.fromkeys(note for state_notes in notes for note in state_notes))
+
+
+def _spaced(stop: float, points: int) -> np.ndarray:
+    """A sweep's --points values from 0 to stop; a count too large to allocate names --points."""
+    try:
+        return np.linspace(0.0, stop, points)
+    except MemoryError as exc:
+        raise CliError(f"--points: {exc}") from None
 
 
 def _draw(j: SpinJ, coherence: float, seed: int, points: int | None = None) -> np.ndarray:
@@ -268,7 +308,7 @@ def _draw(j: SpinJ, coherence: float, seed: int, points: int | None = None) -> n
         raise CliError(f"--coherence: must be finite and >= 0, got {coherence}")
     if seed < 0:
         raise CliError(f"--seed: must be >= 0, got {seed}")
-    targets = coherence if points is None else np.linspace(0.0, coherence, points)
+    targets = coherence if points is None else _spaced(coherence, points)
     try:
         return random_state_with_coherence(j.dim, targets, seed)
     except UnreachableCoherence as exc:
@@ -330,8 +370,9 @@ def cmd_evolve(args) -> int:
         warnings.simplefilter("error", PositivityWarning)
         try:
             traj = evolve(rates.channel, rho0, args.tmax, args.steps)
-        except (StepCountError, PositivityWarning) as exc:
-            # a diverging step map, or an eigenvalue that every later state check rejects: the run cannot go on
+        except (StepCountError, PositivityWarning, MemoryError) as exc:
+            # a diverging step map, an eigenvalue that every later state check rejects, or a trajectory too
+            # large to allocate: the run cannot go on
             raise CliError(f"--steps: {exc}") from None
     t_name, t_scale = rates.time
     is_qubit = j.dim == 2
@@ -340,18 +381,15 @@ def cmd_evolve(args) -> int:
     s_vn = von_neumann_entropy(traj.states).tolist()
     c_l1 = l1_coherence(traj.states).tolist()
     sigma_vn = rates.sigma_vn(traj.states, state_values if is_qubit else None)
-
-    def row(i):
-        field = husimi_field(traj.states[i], grid)
-        report = rates.quad(field)
-        cells = [traj.times[i] * t_scale, *state_values[i].tolist()]
-        cells += [s_vn[i], wehrl_entropy(field), c_l1[i], report.sigma_dot]
+    phase, notes = _run_rows(rates, grid, traj.states, with_entropy=True)
+    rows = []
+    for i, t in enumerate(traj.times):
+        cells = [t * t_scale, *state_values[i].tolist()]
+        cells += [s_vn[i], phase.s_q[i], c_l1[i], phase.sigma[i]]
         if is_qubit:
             cells.append(rates.closed(state_values[i]))
-        cells += [sigma_vn[i], report.phi_dot, len(report.warnings)]
-        return cells, report.warnings
-
-    rows, notes = _run_rows(row, range(len(traj.states)))
+        cells += [sigma_vn[i], phase.phi_dot[i], len(phase.notes[i])]
+        rows.append(cells)
 
     header = [t_name, *state_names, "s_vn", "s_q", "c_l1", "sigma_quad"]
     if is_qubit:
@@ -377,17 +415,14 @@ SWEEP_HEADER = ["coherence_fig", "coherence_l1", "sigma_wehrl", "sigma_vn"]
 def _sweep_table(rates: _Rates, grid: SphereGrid, states, taus, coherence_fig) -> tuple:
     """SWEEP_HEADER rows and notes of states whose Bloch vectors (None: a stack for the matrix vN route) are taus."""
     sigma_vn = rates.sigma_vn(states, taus)
-
-    def row(i):
-        report = rates.quad(husimi_field(states[i], grid))
-        return [coherence_fig[i], l1_coherence(states[i]), report.sigma_dot, sigma_vn[i]], report.warnings
-
-    return _run_rows(row, range(len(states)))
+    c_l1 = l1_coherence(states).tolist()
+    phase, notes = _run_rows(rates, grid, states)
+    return [[coherence_fig[i], c_l1[i], phase.sigma[i], sigma_vn[i]] for i in range(len(states))], notes
 
 
 def _qubit_sweep_states(tau_z: float, n_points: int) -> tuple:
     """(states, Bloch vectors, figure coherences) of the transverse sweep at fixed tau_z, out to the pure states."""
-    perps = np.linspace(0.0, math.sqrt(max(0.0, 1.0 - tau_z * tau_z)), n_points)
+    perps = _spaced(math.sqrt(max(0.0, 1.0 - tau_z * tau_z)), n_points)
     taus = [np.array([perp, 0.0, tau_z]) for perp in perps]
     return [bloch_to_rho(tau) for tau in taus], taus, 2.0 * perps * perps
 
@@ -479,13 +514,10 @@ def _fig2(out_dir: str) -> None:
 
 def _write_curves(path: str, rates: _Rates, grid: SphereGrid, times, states, coherences, meta: dict) -> None:
     """Write a figure panel's sigma curves, one row per time of a (time x coherence) stack of states."""
-
-    def row(item):
-        t, column = item
-        reports = [rates.quad(husimi_field(rho, grid)) for rho in column]
-        return [t] + [r.sigma_dot for r in reports], [note for r in reports for note in r.warnings]
-
-    rows, notes = _run_rows(row, zip(times, states))
+    states = np.asarray(states, dtype=complex)
+    phase, notes = _run_rows(rates, grid, states.reshape(-1, *states.shape[-2:]))
+    width = len(coherences)
+    rows = [[t] + phase.sigma[k * width : (k + 1) * width] for k, t in enumerate(times)]
     header = [rates.time[0]] + [f"sigma_c_{c:g}" for c in coherences]
     meta = {
         "command": "fig",

@@ -37,7 +37,12 @@ REFERENCE_MEMO = 16
 
 @dataclass(frozen=True)
 class EpReport:
-    """Entropy production rate, flux rate, and their balance for one route."""
+    """Entropy production rate, flux rate, and their balance for one route.
+
+    Of one state, the rates are floats and warnings the tuple of its notes.
+    A quadrature rate of a stacked Husimi field reports each state in place:
+    the rates are (N,) arrays and warnings[i] is the tuple of state i's notes.
+    """
 
     sigma_dot: float
     phi_dot: float
@@ -138,21 +143,30 @@ def ep_vn_qubit_damping(tau, bath: BathParams) -> float:
 
 
 def _squares_over_q(field: HusimiField, currents: tuple, context: str):
-    """Per theta row, the phi sums of x^2 / Q for each current x, with the Husimi floor applied; and the warnings."""
+    """Per theta row, the phi sums of x^2 / Q for each current x, with the Husimi floor applied; and the warnings.
+
+    Each state of a stack has its own floor mask and notes: the notes are
+    one state's tuple, or a tuple of each state's for a stack.
+    """
     mask, excluded = floor_mask(field, context)
     q = field.q
     sums = [
-        np.einsum("ij,ij->i", x, x / q if mask is None else np.divide(x, q, out=np.zeros_like(q), where=mask))
+        np.einsum("...ij,...ij->...i", x, x / q if mask is None else np.divide(x, q, out=np.zeros_like(q), where=mask))
         for x in currents
     ]
-    return sums, (FLOOR_NOTE.format(context, excluded),) if excluded else ()
+    stacked = q.ndim == 3
+    if mask is None:
+        notes = ((),) * (len(q) if stacked else 1)
+    else:
+        notes = tuple((FLOOR_NOTE.format(context, weight),) if weight else () for weight in np.ravel(excluded))
+    return sums, notes if stacked else notes[0]
 
 
 def ep_rate_dephasing_quad(field: HusimiField, channel: DephasingChannel) -> EpReport:
     """Quadrature entropy production rate of the dephasing channel: azimuthal current squared over Q.
 
     The flux vanishes identically, so the full dissipative Wehrl rate equals
-    the production rate.
+    the production rate.  A stacked field gives a stacked report (EpReport).
     """
     j = channel.ops.j
     if j != field.j:
@@ -160,7 +174,8 @@ def ep_rate_dephasing_quad(field: HusimiField, channel: DephasingChannel) -> EpR
     pref = (j.two_j + 1) / (4.0 * np.pi)
     (rows,), notes = _squares_over_q(field, (field.dq_dphi,), "dephasing rate")
     sigma = 0.5 * channel.lam * pref * field.grid.integrate_rows(rows)
-    return EpReport(sigma_dot=sigma, phi_dot=0.0, ds_dt=sigma, route="quadrature", warnings=notes)
+    phi = 0.0 if isinstance(sigma, float) else np.zeros(sigma.shape)
+    return EpReport(sigma_dot=sigma, phi_dot=phi, ds_dt=sigma, route="quadrature", warnings=notes)
 
 
 def ep_rate_damping_quad(field: HusimiField, channel: AmplitudeDampingChannel) -> EpReport:
@@ -184,6 +199,8 @@ def ep_rate_damping_quad(field: HusimiField, channel: AmplitudeDampingChannel) -
     and (d_theta Q)^2 / Q terms would leave their O(1) roundoff.
     dS/dt := sigma - phi, so no D(Q) is synthesized (wehrl_rate_dissipative
     computes it independently).  The grid is at or above the band limit.
+    A stacked field gives a stacked report (EpReport); the theta-only
+    factors and the flux weight are formed once per call.
     """
     j, bath = channel.ops.j, channel.bath
     if j != field.j:

@@ -23,6 +23,12 @@ The differential actions
 
 are read pointwise from the synthesized Q, dQ/dtheta and dQ/dphi.
 
+Every field, integral and rate here takes one state or a stack of states
+along a leading axis: a stack of N states is validated in one batched
+pass and synthesized in one pair-space scatter and two batched GEMMs, and
+its integrals are (N,) arrays of the same theta-weighted row sums.  One
+state is the stack of one without the leading axis, through the same code.
+
 The map rho -> Q is linear, so the phase-space dissipator of a channel,
 the rate of change D(Q) that its dissipator gives Q, is the Husimi
 function of the matrix dissipator: D(Q) = Q[D[rho]].  dissipator_field
@@ -36,11 +42,12 @@ coherent amplitudes with their first theta-derivatives, one row per
 k = 0 ... 2J, and the indices that scatter a matrix into pair space.  A
 Hermitian matrix M becomes a real (pairs x 2K) matrix, K = 2J + 1, whose
 row for the pair (r, r') holds [Re M[r, r'], Im M[r, r']] at column
-k = r' - r.  For M = rho, one GEMM with the value and theta-derivative
-rows of the pair table gives the interleaved coefficients [Re c_k, Im c_k]
-of Q and dQ/dtheta on every theta node, ik times those of Q give dQ/dphi,
-and one real (3 n_theta x 2K) @ (2K x n_phi) product synthesizes all three
-fields; D(Q) takes the value rows alone for M = D[rho].
+k = r' - r.  For M = rho, one GEMM per state with the value and
+theta-derivative rows of the pair table gives the interleaved coefficients
+[Re c_k, Im c_k] of Q and dQ/dtheta on every theta node, ik times those of
+Q give dQ/dphi, and one real (3 N n_theta x 2K) @ (2K x n_phi) product
+synthesizes all three fields of every state; D(Q) takes the value rows
+alone for M = D[rho].
 
 Quadrature pairs Gauss-Legendre nodes in cos(theta) with a uniform phi
 grid, so there are no polar nodes and trigonometric polynomials up to the
@@ -57,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BandLimitError, DimensionError, QFloorWarning, RangeError
-from .spins import SpinJ, check_density_matrix, read_only
+from .spins import SpinJ, check_density_matrix, check_density_stack, read_only
 
 Q_FLOOR = 1e-14
 FLOOR_NOTE = "{}: excluded weight {:.3e} below Husimi floor"
@@ -111,20 +118,37 @@ class SphereGrid:
             self._tables[j.two_j] = tables
         return tables
 
-    def integrate(self, values: np.ndarray) -> float:
-        """Integral over the full sphere of values sampled on the grid (see integrate_rows)."""
+    def integrate(self, values: np.ndarray):
+        """Integral over the full sphere of values sampled on the grid, (..., n_theta, n_phi) (see integrate_rows)."""
         values = np.asarray(values)
-        if values.shape != (self.n_theta, self.n_phi):
+        if values.shape[-2:] != (self.n_theta, self.n_phi):
             raise DimensionError(f"values shape {values.shape} does not match grid {self.n_theta} x {self.n_phi}")
-        return self.integrate_rows(values.sum(axis=1))
+        return self.integrate_rows(values.sum(axis=-1))
 
-    def integrate_rows(self, row_sums: np.ndarray) -> float:
+    def integrate_rows(self, row_sums: np.ndarray):
         """Integral over the full sphere of a field given by its phi sums on each theta row.
 
-        (2 pi / n_phi) sum_theta W_theta row_sums[theta]; a theta-only factor
-        of the integrand can multiply the row sums instead of the grid.
+        (2 pi / n_phi) sum_theta W_theta row_sums[..., theta]: a float for
+        one field's (n_theta,) row sums, an (N,) array for a stack's
+        (N, n_theta).  A theta-only factor of the integrand can multiply the
+        row sums instead of the grid.
         """
-        return float(np.real(self.theta_weights @ row_sums)) * (2.0 * np.pi / self.n_phi)
+        return _per_state(_dots(row_sums.real, self.theta_weights) * (2.0 * np.pi / self.n_phi))
+
+
+def _dots(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """rows[..., :] @ weights for each row, one (1 x n) @ (n x 1) product per row.
+
+    numpy takes each such product as one dot, the same as a lone row's
+    rows @ weights, so a state's value does not depend on the stack it sits
+    in; one GEMV of the whole stack would sum in another order.
+    """
+    return np.matmul(rows[..., None, :], weights[:, None])[..., 0, 0]
+
+
+def _per_state(values: np.ndarray):
+    """A float for one state's 0-d value, else the (N,) array of a stack's values."""
+    return values if values.ndim else float(values)
 
 
 def _amplitude_table(j: SpinJ, thetas: np.ndarray) -> np.ndarray:
@@ -176,8 +200,8 @@ class _SpinTables:
     pairs[o * n_theta + i, p] holds the o-th theta-derivative (o = 0, 1)
     of a_r a_r' at node i for the p-th pair (r, r') of the upper triangle
     r <= r', in row-major order, doubled where r' > r (the weight of
-    c_k = 2 g_k at k = r' - r > 0); diagonal[r] is the index of the pair
-    (r, r).  A matrix's pair-space form is zero but for its entry
+    c_k = 2 g_k at k = r' - r > 0); squares[i, r] is a_m^2 at node i for
+    m = J - r, the value rows of the diagonal pairs (r, r).  A matrix's pair-space form is zero but for its entry
     rho.flat[source[p]] at flat index target[p] of a complex
     (pairs, 2J + 1) array, column k = r' - r.  trig rows 2k and 2k + 1 hold
     cos(k phi) and -sin(k phi) on the phi nodes, k = 0 ... 2J, and the row
@@ -185,7 +209,7 @@ class _SpinTables:
     """
 
     pairs: np.ndarray
-    diagonal: np.ndarray
+    squares: np.ndarray
     source: np.ndarray
     target: np.ndarray
     trig: np.ndarray
@@ -203,11 +227,10 @@ def _build_tables(j: SpinJ, grid: SphereGrid) -> _SpinTables:
         a1[rows] * a0[cols] + a0[rows] * a1[cols],
     )) * doubled[k, None]
     pairs = np.ascontiguousarray(pairs.transpose(0, 2, 1).reshape(2 * grid.n_theta, rows.size))
-    diagonal = np.flatnonzero(k == 0)
     angles = np.arange(j.dim)[:, None] * grid.phi_nodes[None, :]
     trig = np.stack((np.cos(angles), -np.sin(angles)), axis=1).reshape(2 * j.dim, grid.n_phi)
     tables = _SpinTables(
-        pairs=pairs, diagonal=diagonal, source=rows * j.dim + cols, target=np.arange(rows.size) * j.dim + k,
+        pairs=pairs, squares=pairs[: grid.n_theta, k == 0], source=rows * j.dim + cols, target=np.arange(rows.size) * j.dim + k,
         trig=trig, ik=1j * np.arange(j.dim),
     )
     for table in vars(tables).values():
@@ -215,27 +238,29 @@ def _build_tables(j: SpinJ, grid: SphereGrid) -> _SpinTables:
     return tables
 
 
-def _pair_space(matrix: np.ndarray, tables: _SpinTables) -> np.ndarray:
-    """A Hermitian matrix M in pair space, where its upper triangle fixes it.
+def _pair_space(matrices: np.ndarray, tables: _SpinTables) -> np.ndarray:
+    """Hermitian matrices M, one (d, d) or a stack (..., d, d), in pair space, where each upper triangle fixes M.
 
-    The real (pairs, 2(2J + 1)) array whose row for the pair (r, r') holds
-    [Re M[r, r'], Im M[r, r']] at column k = r' - r (m - m' for m = J - r,
-    m' = J - r').
+    The real (..., pairs, 2(2J + 1)) array whose row for the pair (r, r')
+    holds [Re M[r, r'], Im M[r, r']] at column k = r' - r (m - m' for
+    m = J - r, m' = J - r'), filled by one scatter.
     """
-    out = np.zeros((tables.source.size, matrix.shape[0]), dtype=complex)
-    out.ravel()[tables.target] = np.take(matrix, tables.source)
+    lead = matrices.shape[:-2]
+    out = np.zeros((*lead, tables.source.size, matrices.shape[-1]), dtype=complex)
+    out.reshape(*lead, -1)[..., tables.target] = matrices.reshape(*lead, -1)[..., tables.source]
     return out.view(float)
 
 
 @dataclass(frozen=True, eq=False)
 class HusimiField:
-    """Husimi function of a state sampled on a sphere grid.
+    """Husimi function of a state, or of each state of a stack, sampled on a sphere grid.
 
     q, dq_dtheta and dq_dphi are real arrays of shape (n_theta, n_phi),
-    synthesized together from the state in pair space with the tables the
-    grid caches for this spin; the ladder actions are read pointwise from
-    them.  rho is a read-only copy of the validated state, which the
-    dissipator field and the damping flux read.
+    or (N, n_theta, n_phi) for a stack, synthesized together from the
+    states in pair space with the tables the grid caches for this spin; the
+    ladder actions are read pointwise from them.  rho is a read-only copy
+    of the validated state (d, d), or stack (N, d, d), which the dissipator
+    field and the damping flux read.
     """
 
     j: SpinJ
@@ -247,17 +272,27 @@ class HusimiField:
 
 
 def husimi_field(rho: np.ndarray, grid: SphereGrid) -> HusimiField:
-    """Sample Q = <Omega|rho|Omega> and its first angular derivatives on a grid."""
-    rho = check_density_matrix(rho)
-    j = SpinJ(rho.shape[0] - 1)
+    """Sample Q = <Omega|rho|Omega> and its first angular derivatives on a grid, of one state or an (N, d, d) stack.
+
+    A stack is validated in one batched pass, whose error names the first
+    bad state, and synthesized in one scatter, one batched GEMM with the
+    pair table and one with the trig table.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    states = check_density_stack(rho)
+    n, dim = states.shape[:2]
+    j = SpinJ(dim - 1)
     tables = grid._spin_tables(j)
     n_theta = grid.n_theta
-    # rows: the [Re c_k, Im c_k] of Q, then of dQ/dtheta, then of dQ/dphi, on every theta node
-    coeffs = np.empty((3 * n_theta, 2 * j.dim))
-    np.matmul(tables.pairs, _pair_space(rho, tables), out=coeffs[: 2 * n_theta])
-    np.multiply(coeffs[:n_theta].view(complex), tables.ik, out=coeffs[2 * n_theta :].view(complex))
-    q, dq_dtheta, dq_dphi = (coeffs @ tables.trig).reshape(3, n_theta, grid.n_phi)
-    return HusimiField(j=j, grid=grid, q=q, dq_dtheta=dq_dtheta, dq_dphi=dq_dphi, rho=read_only(rho))
+    # per state, rows: the [Re c_k, Im c_k] of Q, then of dQ/dtheta, then of dQ/dphi, on every theta node
+    coeffs = np.empty((n, 3 * n_theta, 2 * dim))
+    np.matmul(tables.pairs, _pair_space(states, tables), out=coeffs[:, : 2 * n_theta])
+    np.multiply(coeffs[:, :n_theta].view(complex), tables.ik, out=coeffs[:, 2 * n_theta :].view(complex))
+    fields = (coeffs.reshape(-1, 2 * dim) @ tables.trig).reshape(n, 3, n_theta, grid.n_phi)
+    if rho.ndim == 2:
+        fields, states = fields[0], states[0]
+    q, dq_dtheta, dq_dphi = fields.swapaxes(0, -3)
+    return HusimiField(j=j, grid=grid, q=q, dq_dtheta=dq_dtheta, dq_dphi=dq_dphi, rho=read_only(states))
 
 
 def husimi_q(rho: np.ndarray, omega: SolidAngle) -> float:
@@ -295,21 +330,24 @@ def phase_space_jminus(field: HusimiField) -> np.ndarray:
     return _ladder(field, -1)
 
 
-def damping_flux(field: HusimiField, gamma_bar: float, tau_bar_z: float, populations_eq: np.ndarray) -> float:
+def damping_flux(field: HusimiField, gamma_bar: float, tau_bar_z: float, populations_eq: np.ndarray):
     """Wehrl flux rate of thermal ladder damping, read from the populations alone (see ep_rate_damping_quad).
 
     Integrating the drift terms of sigma by parts leaves
     (gamma_bar/2)(2J+1)/(4 pi) times the integral of w(theta) Q, so only the
     azimuthal average sum_m p_m a_m^2 of Q enters.  Written against the
     stationary populations populations_eq, it is exactly 0.0 on that state.
+    The weight f_m is formed once per call; each state's flux is its own
+    (2J+1)-term dot with f (see _dots), so its value does not depend on the
+    stack.
     """
     grid = field.grid
     tables = grid._spin_tables(field.j)
     c, s, t, n = grid.cos_theta, grid.sin_theta, tau_bar_z, field.j.two_j
     w = (n * t) ** 2 * s**2 / (1.0 + t * c) - 2 * n * t * c
-    # the diagonal pairs (r, r) hold a_m^2 for m = J - r
-    f = (grid.theta_weights * w) @ tables.pairs[: grid.n_theta, tables.diagonal]
-    return 0.25 * gamma_bar * (n + 1) * float(f @ (field.rho.diagonal().real - populations_eq))
+    f = (grid.theta_weights * w) @ tables.squares
+    excess = field.rho.diagonal(0, -2, -1).real - populations_eq
+    return _per_state(0.25 * gamma_bar * (n + 1) * _dots(excess, f))
 
 
 def dissipator_field(field: HusimiField, channel) -> np.ndarray:
@@ -318,8 +356,9 @@ def dissipator_field(field: HusimiField, channel) -> np.ndarray:
     Q is linear in rho, so D(Q) is the Husimi function of the matrix
     dissipator D[rho], Hermitian like rho: one synthesis from the same
     pair-space scatter and value rows of the pair table as Q.  A unitary
-    channel's dissipator is zero, and so is its D(Q).  A channel of another
-    spin than the field's raises DimensionError.
+    channel's dissipator is zero, and so is its D(Q).  A stack's field gives
+    an (N, n_theta, n_phi) array.  A channel of another spin than the
+    field's raises DimensionError.
     """
     if channel.dim != field.j.dim:
         raise DimensionError("channel spin does not match field spin")
@@ -332,9 +371,11 @@ def floor_mask(field: HusimiField, context: str | None = None) -> tuple:
     """Mask of the nodes where Q clears the Husimi floor (None when all do) and the grid weight of the rest.
 
     The excluded weight is the integral of the masked-node count of each
-    theta row.  Given a context, an exclusion also raises QFloorWarning
-    with the text FLOOR_NOTE, attributed to the caller of the rate that
-    asked.
+    theta row: 0.0 when every node clears the floor, else a float for one
+    field and an (N,) array of each state's weight for a stack.  Given a
+    context, each state with an exclusion also raises QFloorWarning with
+    the text FLOOR_NOTE, in state order, attributed to the caller of the
+    rate that asked.
     """
     q = field.q
     if q.min() >= Q_FLOOR:
@@ -342,7 +383,9 @@ def floor_mask(field: HusimiField, context: str | None = None) -> tuple:
     mask = q >= Q_FLOOR
     excluded = field.grid.integrate(~mask)
     if context is not None:
-        warnings.warn(FLOOR_NOTE.format(context, excluded), QFloorWarning, stacklevel=4)
+        for weight in np.ravel(excluded):
+            if weight:
+                warnings.warn(FLOOR_NOTE.format(context, weight), QFloorWarning, stacklevel=4)
     return mask, excluded
 
 
@@ -357,13 +400,13 @@ def floored_log(field: HusimiField, context: str | None = None) -> np.ndarray:
     return np.log(field.q if mask is None else np.where(mask, field.q, 1.0))
 
 
-def wehrl_entropy(field: HusimiField) -> float:
-    """Wehrl entropy -(2J+1)/(4 pi) integral of Q ln Q."""
+def wehrl_entropy(field: HusimiField):
+    """Wehrl entropy -(2J+1)/(4 pi) integral of Q ln Q: a float, or an (N,) array for a stack."""
     pref = (field.j.two_j + 1) / (4.0 * np.pi)
     return -pref * field.grid.integrate(field.q * floored_log(field))
 
 
-def wehrl_rate_dissipative(field: HusimiField, channel) -> float:
-    """Dissipative Wehrl entropy rate -(2J+1)/(4 pi) integral of D(Q) ln Q."""
+def wehrl_rate_dissipative(field: HusimiField, channel):
+    """Dissipative Wehrl entropy rate -(2J+1)/(4 pi) integral of D(Q) ln Q: a float, or an (N,) array for a stack."""
     pref = (field.j.two_j + 1) / (4.0 * np.pi)
     return -pref * field.grid.integrate(dissipator_field(field, channel) * floored_log(field, "wehrl rate"))

@@ -143,25 +143,56 @@ def density_eigh(rho: np.ndarray) -> tuple:
     return _validated(rho, with_vectors=True)
 
 
-def density_eigh_stack(states, dim: int) -> tuple:
-    """density_eigh of each state of an (N, dim, dim) stack, in one batched pass; a bad state's error names it."""
+def _validated_stack(states, dim: int | None, with_vectors: bool, named: bool = True) -> tuple:
+    """The stacked body of state checks: (states, eigenvalues, eigenvectors or None) of an (N, d, d) stack.
+
+    One batched decomposition checks every state; the first bad one is
+    re-checked by _validated for its message, which names it as state <i>
+    when named.  d is read from the shape when dim is None.
+    """
     states = np.asarray(states, dtype=complex)
+    dim = states.shape[-1] if dim is None else dim
     if states.ndim != 3 or states.shape[1:] != (dim, dim):
         raise DimensionError(f"expected an (N, {dim}, {dim}) stack of density matrices, got shape {states.shape}")
     with np.errstate(invalid="ignore", over="ignore"):
-        herm = np.abs(states - states.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    bad = ~(herm <= HERMITICITY_TOL) | (np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0) > TRACE_TOL)
+        herm = abs(states - states.conj().swapaxes(1, 2))
+    trace_error = abs(states.trace(axis1=1, axis2=2) - 1.0)
+    # a good stack passes on scalar comparisons alone; the bad states are looked for only once one fails
+    fine = herm.max(initial=0.0) <= HERMITICITY_TOL and trace_error.max(initial=0.0) <= TRACE_TOL
+    ok = fine or (herm.max(axis=(1, 2)) <= HERMITICITY_TOL) & (trace_error <= TRACE_TOL)
     # a state that already failed is swapped for a valid one, so the eigh sees finite Hermitian input only
-    vals, vecs = np.linalg.eigh(np.where(bad[:, None, None], np.eye(dim), states) if bad.any() else states)
-    bad |= vals[:, 0] < EIG_FLOOR
-    if bad.any():
-        first = int(np.argmax(bad))
+    checked = states if fine else np.where(ok[:, None, None], states, np.eye(dim))
+    vals, vecs = np.linalg.eigh(checked) if with_vectors else (np.linalg.eigvalsh(checked), None)
+    # eigenvalues come in ascending order, so the smallest of all is some state's first
+    if not (fine and vals.min(initial=0.0) >= EIG_FLOOR):
+        first = int(np.argmin(ok & (vals[:, 0] >= EIG_FLOOR)))
         try:
-            _validated(states[first], with_vectors=True)
+            _validated(states[first], with_vectors)
             raise StateValidationError(f"negative eigenvalue {vals[first, 0]:.3e} below floor {EIG_FLOOR}")
         except StateValidationError as exc:
+            if not named:
+                raise
             raise StateValidationError(f"state {first}: {exc}") from None
     return states, vals, vecs
+
+
+def check_density_stack(states) -> np.ndarray:
+    """check_density_matrix of one (d, d) state or each state of an (N, d, d) stack, in one batched pass.
+
+    Returns the (N, d, d) stack, N = 1 for one state; only a stack's error
+    names the bad state, as state <i>.
+    """
+    states = np.asarray(states, dtype=complex)
+    if states.ndim == 2 and states.shape[0] == states.shape[1]:
+        return _validated_stack(states[None], None, with_vectors=False, named=False)[0]
+    if states.ndim != 3:
+        raise DimensionError(f"density matrix must be square, got shape {states.shape}")
+    return _validated_stack(states, None, with_vectors=False)[0]
+
+
+def density_eigh_stack(states, dim: int) -> tuple:
+    """density_eigh of each state of an (N, dim, dim) stack, in one batched pass; a bad state's error names it."""
+    return _validated_stack(states, dim, with_vectors=True)
 
 
 def check_bloch_vector(tau) -> tuple:

@@ -340,6 +340,11 @@ SPIN_ONE_SWEEP = ["sweep-coherence", "--channel", "dephasing", "--lambda", "1", 
         # evolve checks its target as a sweep checks its maximum
         (["evolve", "--channel", "dephasing", "--lambda", "1", "--j", "1", "--seed", "1", "--coherence", "-0.5"],
          "error: --coherence: must be finite and >= 0, got -0.5"),
+        # a count whose arrays cannot be allocated at all (10**11 points or steps fails at once, allocating nothing)
+        (["sweep-coherence", "--channel", "dephasing", "--lambda", "1", "--bloch", "0,0,0.2", "--points",
+          "100000000000", "--grid", "16x16"], "error: --points: "),
+        (["evolve", "--channel", "dephasing", "--lambda", "1", "--bloch", "0.5,0,0", "--steps", "100000000000",
+          "--grid", "16x16"], "error: --steps: "),
     ],
 )
 def test_non_finite_input_is_a_named_error(tmp_path, capsys, argv, named):
@@ -638,3 +643,45 @@ def test_von_neumann_column_above_spin_half_is_one_stacked_pass(tmp_path, monkey
                 "--grid", "16x16", "--coherence", "0.4", "--points", "3", "--out", tmp_path / "z.csv"]) == 0
     _, header, rows, _ = load_csv(tmp_path / "z.csv")
     assert all(math.isnan(x) for x in column(header, rows, "sigma_vn"))
+
+
+def test_evolve_rows_across_a_block_boundary_are_each_states_own(tmp_path):
+    # 17 states on 32 x 32 run as two stacked blocks (16 + 1); every phase-space cell must be what the state alone
+    # gives: sigma and S_Q to 1e-15 relative, phi_dot bit for bit, and the floor-note count
+    from spinphase import BathParams, DephasingChannel, SphereGrid, SpinJ, coherent_amplitudes, husimi_field
+    from spinphase import ep_rate_damping_quad, ep_rate_dephasing_quad, evolve, make_spin_operators, wehrl_entropy
+    from spinphase.cli import BLOCK_NODES
+
+    assert BLOCK_NODES // (32 * 32) == 16
+    j = SpinJ(8)
+    ops = make_spin_operators(j)
+    vec = coherent_amplitudes(j, 1.1).amplitudes * np.exp(0.7j * np.arange(j.dim))
+    state = tmp_path / "coherent.txt"
+    state.write_text("dim 9\n" + "\n".join(" ".join(repr(complex(x)) for x in row) for row in np.outer(vec, vec.conj())))
+    grid = SphereGrid(32, 32)
+    cases = (
+        (["--channel", "dephasing", "--lambda", "1"], DephasingChannel(lam=1.0, ops=ops), ep_rate_dephasing_quad),
+        (["--channel", "damping", "--gamma", "1", "--nbar", "0.5"], BathParams.from_nbar(1.0, 0.5).channel(ops),
+         ep_rate_damping_quad),
+    )
+    noted = 0
+    for flags, channel, rate in cases:
+        out = tmp_path / "e.csv"
+        assert run(["evolve", *flags, "--j", "4", "--state", state, "--tmax", "0.01", "--steps", "16",
+                    "--grid", "32x32", "--out", out]) == 0
+        _, header, rows, notes = load_csv(out)
+        assert len(rows) == 17
+        traj = evolve(channel, read_state_file(str(state)), 0.01, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for row, rho in zip(rows, traj.states):
+                field = husimi_field(rho, grid)
+                report = rate(field, channel)
+                cells = dict(zip(header, row))
+                assert abs(cells["sigma_quad"] - report.sigma_dot) <= 1e-15 * abs(report.sigma_dot)
+                assert abs(cells["s_q"] - wehrl_entropy(field)) <= 1e-15 * abs(wehrl_entropy(field))
+                assert cells["phi_dot"] == report.phi_dot
+                assert cells["warnings_count"] == len(report.warnings)
+                noted += len(report.warnings)
+    # the coherent state underflows the floor near its antipode until dephasing mixes it
+    assert noted > 0

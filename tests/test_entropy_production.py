@@ -857,3 +857,75 @@ def test_stationary_log_populations_are_the_logarithms_of_the_populations(two_j)
     np.testing.assert_array_equal(DephasingChannel(lam=1.0, ops=ops).stationary_log_populations, -math.log(j.dim))
     zero = BathParams.from_nbar(1.0, 0.0).channel(ops).stationary_log_populations
     assert zero[-1] == 0.0 and np.isneginf(zero[:-1]).all()
+
+
+STACK_CHANNELS = (
+    ("dephasing", lambda ops: DephasingChannel(lam=0.7, ops=ops), ep_rate_dephasing_quad),
+    ("nbar 0.5", lambda ops: BathParams.from_nbar(1.0, 0.5).channel(ops), ep_rate_damping_quad),
+    ("nbar 0", lambda ops: BathParams.from_nbar(1.0, 0.0).channel(ops), ep_rate_damping_quad),
+    ("nbar inf", lambda ops: BathParams.from_tau_bar(1.0, 0.0).channel(ops), ep_rate_damping_quad),
+    ("tau_bar -0.4", lambda ops: BathParams.from_tau_bar(1.0, -0.4).channel(ops), ep_rate_damping_quad),
+)
+
+
+def rim_stack(j, rng):
+    """Full-rank states between the rim states: the pure |J, J>, a pure coherent state off the poles, a near-pure mixture."""
+    top = np.zeros((j.dim, j.dim), dtype=complex)
+    top[0, 0] = 1.0
+    vec = coherent_amplitudes(j, 1.1).amplitudes * np.exp(0.7j * np.arange(j.dim))
+    coherent = np.outer(vec, vec.conj())
+    near = 0.999 * coherent + 0.001 * np.eye(j.dim) / j.dim
+    return np.stack([random_full_rank(rng, j.dim), top, coherent, random_full_rank(rng, j.dim), near])
+
+
+def recorded(rate):
+    """(result of rate(), the QFloorWarning texts it raised)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", QFloorWarning)
+        result = rate()
+    return result, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("n", [32, 128])
+@pytest.mark.parametrize("two_j", range(1, 9))
+def test_a_stacked_field_gives_each_state_its_own_rates_and_notes(two_j, n):
+    # a stack of states is the N-state case of the one-state code: each state's sigma, phi_dot and S_Q, and its
+    # floor notes, are those of the state alone (the flux bit for bit), whatever else the stack holds
+    j = SpinJ(two_j)
+    ops = make_spin_operators(j)
+    grid = SphereGrid(n, n)
+    states = rim_stack(j, np.random.default_rng(900 + two_j))
+    field = husimi_field(states, grid)
+    alone = [husimi_field(rho, grid) for rho in states]
+    assert field.q.shape == (len(states), n, n) and field.rho.shape == states.shape
+    for stacked, one in zip(wehrl_entropy(field), alone):
+        assert abs(stacked - wehrl_entropy(one)) <= 1e-15 * abs(wehrl_entropy(one))
+    noted = 0
+    for _, make, rate in STACK_CHANNELS:
+        channel = make(ops)
+        report, raised = recorded(lambda: rate(field, channel))
+        reports, raised_alone = zip(*(recorded(lambda one=one: rate(one, channel)) for one in alone))
+        assert report.sigma_dot.shape == report.phi_dot.shape == (len(states),)
+        assert len(report.warnings) == len(states)
+        for i, one in enumerate(reports):
+            assert isinstance(one.sigma_dot, float) and isinstance(one.phi_dot, float)
+            assert abs(report.sigma_dot[i] - one.sigma_dot) <= 1e-15 * abs(one.sigma_dot)
+            assert report.phi_dot[i] == one.phi_dot
+            assert report.warnings[i] == one.warnings
+        assert raised == [text for texts in raised_alone for text in texts]
+        noted += sum(map(bool, report.warnings))
+    # the pure states underflow the Husimi floor near their zeros from two_j 5 on at 32^2, and from 4 on at 128^2
+    assert (noted > 0) == (two_j >= (5 if n == 32 else 4))
+
+
+def test_a_bad_state_of_a_stacked_field_is_named():
+    grid = SphereGrid(16, 16)
+    good = random_full_rank(np.random.default_rng(5), 3)
+    negative = np.diag([1.2, 0.0, -0.2]).astype(complex)
+    with pytest.raises(StateValidationError, match=r"^state 2: negative eigenvalue -2\.000e-01 below floor"):
+        husimi_field(np.stack([good, good, negative, good]), grid)
+    # one state's error reads as check_density_matrix's, with no index
+    with pytest.raises(StateValidationError, match=r"^negative eigenvalue -2\.000e-01 below floor"):
+        husimi_field(negative, grid)
+    with pytest.raises(DimensionError):
+        husimi_field(np.ones((2, 3), dtype=complex), grid)

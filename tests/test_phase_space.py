@@ -571,3 +571,23 @@ def test_grid_below_the_band_limit_is_rejected(two_j):
     with pytest.raises(BandLimitError):
         husimi_field(np.eye(2 * two_j + 1) / (2 * two_j + 1), at_limit)
     assert np.array_equal(husimi_field(rho, at_limit).q, husimi_field(rho, SphereGrid(n_theta, n_phi)).q)
+
+
+def test_a_stacked_field_is_each_states_own_field():
+    # fields, ladder actions, D(Q) and the dissipative Wehrl rate of a stack are those of each state alone
+    j = SpinJ(4)
+    ops = make_spin_operators(j)
+    grid = SphereGrid(24, 20)
+    states = random_state_with_coherence(j.dim, np.array([0.0, 0.4, 0.9]), seed=6)
+    field = husimi_field(states, grid)
+    channel = BathParams.from_nbar(1.0, 0.5).channel(ops)
+    rates = wehrl_rate_dissipative(field, channel)
+    assert rates.shape == (3,)
+    for i, rho in enumerate(states):
+        one = husimi_field(rho, grid)
+        for name in ("q", "dq_dtheta", "dq_dphi", "rho"):
+            assert np.array_equal(getattr(field, name)[i], getattr(one, name))
+        for action in (phase_space_jz, phase_space_jplus, phase_space_jminus):
+            assert np.array_equal(action(field)[i], action(one))
+        assert np.allclose(dissipator_field(field, channel)[i], dissipator_field(one, channel), rtol=0, atol=1e-15)
+        assert abs(rates[i] - wehrl_rate_dissipative(one, channel)) <= 1e-14 * abs(rates[i])

@@ -38,24 +38,28 @@ def test_cli_calls_go_through_the_traced_names(tmp_path):
     try:
         code = cli.main([
             "evolve", "--channel", "damping", "--gamma", "1.0", "--nbar", "0.5", "--bloch", "0.5,0,0.2",
-            "--tmax", "0.1", "--steps", "2", "--grid", "16x16", "--deterministic", "--out", str(tmp_path / "o.csv"),
+            "--tmax", "0.1", "--steps", "70", "--grid", "16x16", "--deterministic", "--out", str(tmp_path / "o.csv"),
         ])
     finally:
         tracer.uninstall()
     assert code == 0
     metrics = tracer.metrics(1.0, 1.0, 1.0)
-    rows = 3  # two steps and the initial state
+    rows = 71  # seventy steps and the initial state
     assert metrics["cli.rows"] == rows
-    assert metrics["phase_space.husimi_calls"] == rows
-    assert metrics["entropy_production.quad_calls"] == rows
+    # a block holds BLOCK_NODES // (16 * 16) = 64 states, so the phase-space columns take two stacked calls of each
+    assert cli.BLOCK_NODES // (16 * 16) == 64
+    assert metrics["phase_space.husimi_calls"] == 2
+    assert metrics["entropy_production.quad_calls"] == 2
+    assert metrics["phase_space.wehrl_entropy_s"] > 0.0
+    # a qubit row takes the von Neumann closed form, one call per row
     assert metrics["entropy_production.vn_calls"] == rows
-    assert metrics["dynamics.steps"] == 2
+    assert metrics["dynamics.steps"] == 70
     assert metrics["dynamics.liouvillian_calls"] == 4  # one RK4 step on the basis stack builds the step map
 
 
 def test_a_traced_evolve_above_spin_half_completes(tmp_path):
-    # the von Neumann column of a d > 2 table is one stacked pass; a stack handed to a traced name would make
-    # the tracer's per-call hooks raise, and this run would fail
+    # the von Neumann column of a d > 2 table is one stacked pass, and the phase-space columns one stacked call
+    # per block; the tracer's per-call hooks must take a stacked field and a stacked report without raising
     tracer = load_tracer().Tracer(MODULES)
     tracer.install()
     try:
@@ -68,7 +72,9 @@ def test_a_traced_evolve_above_spin_half_completes(tmp_path):
     assert code == 0
     metrics = tracer.metrics(1.0, 1.0, 1.0)
     assert metrics["cli.rows"] == 3
-    assert metrics["phase_space.husimi_calls"] == 3
+    # the three states of 16 x 16 nodes fit one block
+    assert metrics["phase_space.husimi_calls"] == 1
+    assert metrics["entropy_production.quad_calls"] == 1
     assert metrics["entropy_production.vn_calls"] == 0
 
 

@@ -1,9 +1,10 @@
 """Sweep and figure-2 rows reach the library through the names bench/tracer.py wraps.
 
 The benchmark's `sweep_spin4` and `figures_qubit` workloads report their
-per-layer metrics from these rows, so each row must make exactly one
-Husimi synthesis and one quadrature rate call that the tracer sees, and
-each qubit row one von Neumann rate call.
+per-layer metrics from these rows, so each block of a table's states
+(cli.BLOCK_NODES grid nodes: one state at 128^2, 64 at 16^2) must make
+exactly one stacked Husimi synthesis and one stacked quadrature rate call
+that the tracer sees, and each qubit row one von Neumann rate call.
 """
 
 from spinphase import cli
@@ -34,8 +35,10 @@ def test_sweep_and_fig2_rows_go_through_the_traced_names(tmp_path, monkeypatch):
     metrics = tracer.metrics(1.0, 1.0, 1.0)
     rows = 4 + 3 + 2 * 51
     assert metrics["cli.rows"] == rows
-    assert metrics["phase_space.husimi_calls"] == rows
-    assert metrics["entropy_production.quad_calls"] == rows
+    # each 16 x 16 sweep fits one block; fig 2 runs each of its 2 x 51 states at 128^2 as a block of its own
+    blocks = 1 + 1 + 2 * 51
+    assert metrics["phase_space.husimi_calls"] == blocks
+    assert metrics["entropy_production.quad_calls"] == blocks
     # the qubit rows each take a closed form; the spin-one sweep takes its column in one vn_rates pass
     assert metrics["entropy_production.vn_calls"] == 4 + 2 * 51
     assert stacks == [3]
