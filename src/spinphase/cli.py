@@ -155,8 +155,7 @@ def write_csv(path: str, metadata: dict, header: list, rows: list, notes: list) 
     """CSV with '#' metadata lines, one header row, %.17e numbers, trailing warnings.
 
     Every row has the cell kinds of the first, whose format string then
-    formats each row in one %.  None and NaN cells read nan; only a row that
-    holds a None is rebuilt to say so.
+    formats each row in one %; a missing value is a NaN cell, which reads nan.
     """
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
@@ -166,9 +165,7 @@ def write_csv(path: str, metadata: dict, header: list, rows: list, notes: list) 
         fh.write(",".join(header) + "\n")
         if rows:
             fmt = _row_format(rows[0])
-            fh.writelines(
-                fmt % (tuple(math.nan if v is None else v for v in row) if None in row else tuple(row)) for row in rows
-            )
+            fh.writelines(fmt % tuple(row) for row in rows)
         for note in notes:
             fh.write(f"# warning: {note}\n")
 
@@ -237,6 +234,22 @@ def _reject_unread(flags: dict, reader: str) -> None:
 
 
 def _build_channel(args, j: SpinJ) -> _Rates:
+    """Channel and bound rates from the rate flags, its generator built for a table above spin 1/2.
+
+    Every such table reads the d^2 x d^2 generator, so a --j too large to
+    allocate it is named here, before any other work; a qubit table reads
+    closed forms and never builds it.
+    """
+    rates = _rates_from_flags(args, j)
+    if j.dim > 2:
+        try:
+            rates.channel.generator
+        except MemoryError as exc:
+            raise CliError(f"--j: {exc}") from None
+    return rates
+
+
+def _rates_from_flags(args, j: SpinJ) -> _Rates:
     """Channel and bound rates from the rate flags; the library range-checks the rates."""
     if args.channel == "dephasing":
         unread = {"--gamma": args.gamma, "--nbar": args.nbar, "--tau-bar-z": args.tau_bar_z}

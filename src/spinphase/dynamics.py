@@ -395,20 +395,17 @@ def classical_ep_rate(rates: PauliRates, populations) -> float:
         raise ValueError("populations must be a normalized distribution")
     if np.any(w < 0.0):
         raise ValueError("rates must be >= 0")
-    total = 0.0
-    d = w.shape[0]
-    for n in range(d):
-        for k in range(d):
-            if n == k:
-                continue
-            forward = w[n, k] * p[k]
-            backward = w[k, n] * p[n]
-            if forward == 0.0 and backward == 0.0:
-                continue
-            if forward == 0.0 or backward == 0.0:
-                raise ZeroRateError(f"one-way flux on edge {k} -> {n}")
-            total += 0.5 * (forward - backward) * math.log(forward / backward)
-    return total
+    # forward[n, k] = w[n, k] p[k] is the flux k -> n and forward.T the flux back; a population within the
+    # tolerance below zero is the zero population it stands for
+    forward = w * np.clip(p, 0.0, None)
+    backward = forward.T
+    one_way = (forward == 0.0) != (backward == 0.0)
+    if one_way.any():
+        n, k = np.argwhere(one_way)[0]
+        raise ZeroRateError(f"one-way flux on edge {k} -> {n}")
+    # every edge left carries flux both ways or none, and the diagonal's terms are zero
+    flowing = forward != 0.0
+    return float(0.5 * np.sum((forward - backward)[flowing] * np.log(forward[flowing] / backward[flowing])))
 
 
 def coherence_ep_rate(trajectory: Trajectory) -> np.ndarray:

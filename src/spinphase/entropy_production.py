@@ -47,7 +47,6 @@ class EpReport:
     sigma_dot: float
     phi_dot: float
     ds_dt: float
-    route: str
     warnings: tuple = ()
 
 
@@ -175,7 +174,7 @@ def ep_rate_dephasing_quad(field: HusimiField, channel: DephasingChannel) -> EpR
     (rows,), notes = _squares_over_q(field, (field.dq_dphi,), "dephasing rate")
     sigma = 0.5 * channel.lam * pref * field.grid.integrate_rows(rows)
     phi = 0.0 if isinstance(sigma, float) else np.zeros(sigma.shape)
-    return EpReport(sigma_dot=sigma, phi_dot=phi, ds_dt=sigma, route="quadrature", warnings=notes)
+    return EpReport(sigma_dot=sigma, phi_dot=phi, ds_dt=sigma, warnings=notes)
 
 
 def ep_rate_damping_quad(field: HusimiField, channel: AmplitudeDampingChannel) -> EpReport:
@@ -217,7 +216,7 @@ def ep_rate_damping_quad(field: HusimiField, channel: AmplitudeDampingChannel) -
     rows = relax * drift + (cos_t + tb) * cos_t / sin_t**2 * azimuthal
     sigma = 0.5 * bath.gamma_bar * pref * grid.integrate_rows(rows)
     phi = damping_flux(field, bath.gamma_bar, tb, channel.stationary_populations)
-    return EpReport(sigma_dot=sigma, phi_dot=phi, ds_dt=sigma - phi, route="quadrature", warnings=notes)
+    return EpReport(sigma_dot=sigma, phi_dot=phi, ds_dt=sigma - phi, warnings=notes)
 
 
 def _log_full_rank(rho: np.ndarray, label: str) -> tuple:
@@ -271,7 +270,7 @@ def ep_vn_general(rho: np.ndarray, spec, rho_eq: np.ndarray) -> EpReport:
     sigma = -float(np.vdot(log_rho - log_eq, gen).real)
     flux = float(np.vdot(log_eq, gen).real)
     ds_dt = -float(np.vdot(log_rho, gen).real)
-    return EpReport(sigma_dot=sigma, phi_dot=flux, ds_dt=ds_dt, route="von-neumann")
+    return EpReport(sigma_dot=sigma, phi_dot=flux, ds_dt=ds_dt)
 
 
 def vn_rate_dephasing(rho: np.ndarray, lam: float, ops) -> float:

@@ -246,16 +246,6 @@ def l1_coherence(rho: np.ndarray):
     return total if lead else float(total)
 
 
-def figure_coherence_qubit(tau) -> float:
-    """Transverse-coherence measure 2 (tau_x^2 + tau_y^2) used on sweep axes.
-
-    This is the squared-transverse convention; it differs from the l1 value
-    of the same state (tau_perp), and both are exposed deliberately.
-    """
-    tau = np.asarray(tau, dtype=float)
-    return float(2.0 * (tau[0] ** 2 + tau[1] ** 2))
-
-
 def _spectrum(rho: np.ndarray) -> np.ndarray:
     """Eigenvalues of a state or a (..., d, d) stack, with tiny negatives clipped to zero."""
     vals = np.linalg.eigvalsh(rho)
@@ -307,65 +297,6 @@ def relative_entropy_of_coherence(rho: np.ndarray) -> float:
     rho = np.asarray(rho, dtype=complex)
     pops = np.clip(np.real(np.diag(rho)), 0.0, None)
     return _entropy_of(pops) - von_neumann_entropy(rho)
-
-
-def gibbs_state(hamiltonian: np.ndarray, beta: float) -> np.ndarray:
-    """Thermal state exp(-beta H) / Z, computed through the eigenbasis of H."""
-    if beta < 0.0 or not math.isfinite(beta):
-        raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    h = np.asarray(hamiltonian, dtype=complex)
-    vals, vecs = np.linalg.eigh(h)
-    w = np.exp(-beta * (vals - vals.min()))
-    w /= w.sum()
-    rho = (vecs * w) @ vecs.conj().T
-    return 0.5 * (rho + rho.conj().T)
-
-
-@dataclass(frozen=True)
-class FreeEnergySplit:
-    """Decomposition of F(rho) into equilibrium, population, and coherence parts."""
-
-    f_eq: float
-    classical_excess: float
-    quantum_excess: float
-    total: float
-
-
-def nonequilibrium_free_energy(rho: np.ndarray, hamiltonian: np.ndarray, temperature: float) -> FreeEnergySplit:
-    """Split F(rho) = tr(H rho) - T S(rho) against the thermal reference.
-
-    The total separates exactly as F_eq plus T times the population
-    divergence KL(P || P_eq) plus T times the coherence C(rho), both taken
-    in the eigenbasis of the Hamiltonian.
-    """
-    if temperature <= 0.0 or not math.isfinite(temperature):
-        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
-    rho = check_density_matrix(rho)
-    h = np.asarray(hamiltonian, dtype=complex)
-    if h.shape != rho.shape:
-        raise DimensionError(f"Hamiltonian shape {h.shape} does not match state {rho.shape}")
-    beta = 1.0 / temperature
-    evals, evecs = np.linalg.eigh(h)
-    log_z = -beta * evals.min() + math.log(float(np.sum(np.exp(-beta * (evals - evals.min())))))
-    f_eq = -temperature * log_z
-
-    rho_h = evecs.conj().T @ rho @ evecs
-    pops = np.clip(np.real(np.diag(rho_h)), 0.0, None)
-    pops_eq = np.exp(-beta * (evals - evals.min()))
-    pops_eq /= pops_eq.sum()
-    mask = pops > 0.0
-    kl = float(np.sum(pops[mask] * (np.log(pops[mask]) - np.log(pops_eq[mask]))))
-
-    s_vn = von_neumann_entropy(rho)
-    coherence = _entropy_of(pops) - s_vn
-    energy = float(np.real(np.trace(h @ rho)))
-    total = energy - temperature * s_vn
-    return FreeEnergySplit(
-        f_eq=f_eq,
-        classical_excess=temperature * kl,
-        quantum_excess=temperature * coherence,
-        total=total,
-    )
 
 
 def random_state_with_coherence(dim: int, target_c, seed: int, max_attempts: int = 200) -> np.ndarray:

@@ -319,6 +319,8 @@ def test_fig2_panels_share_the_sweep_grid(fig_dir):
 NON_FINITE_STATE = "dim 2\nnan+0j 0j\n0j 0.5+0j\n"
 SPIN_ONE_SWEEP = ["sweep-coherence", "--channel", "dephasing", "--lambda", "1", "--j", "1", "--seed", "1",
                   "--points", "3"]
+SPIN_200 = ["--j", "200", "--seed", "1", "--coherence", "0.01", "--grid", "401x801"]
+SPIN_200_DAMPING = ["--channel", "damping", "--gamma", "1", "--nbar", "0.5", *SPIN_200]
 
 
 @pytest.mark.parametrize(
@@ -345,6 +347,11 @@ SPIN_ONE_SWEEP = ["sweep-coherence", "--channel", "dephasing", "--lambda", "1", 
           "100000000000", "--grid", "16x16"], "error: --points: "),
         (["evolve", "--channel", "dephasing", "--lambda", "1", "--bloch", "0.5,0,0", "--steps", "100000000000",
           "--grid", "16x16"], "error: --steps: "),
+        # a spin whose d^2 x d^2 generator cannot be allocated at all (two_j 400 asks 385 GiB and fails at once)
+        (["sweep-coherence", *SPIN_200_DAMPING, "--points", "2"], "error: --j: "),
+        (["sweep-coherence", "--channel", "dephasing", "--lambda", "1", *SPIN_200, "--points", "2"],
+         "error: --j: "),
+        (["evolve", *SPIN_200_DAMPING, "--steps", "2"], "error: --j: "),
     ],
 )
 def test_non_finite_input_is_a_named_error(tmp_path, capsys, argv, named):
@@ -543,9 +550,10 @@ def test_write_csv_formats_ints_non_finite_and_missing_cells(tmp_path):
     from spinphase.cli import write_csv
 
     path = tmp_path / "t.csv"
+    # a missing value is a NaN cell, as in every table the CLI builds
     rows = [
         [0.5, 3, math.nan, math.inf, -0.0],
-        [np.float64(-0.25), np.int64(0), None, -math.inf, np.float64(math.nan)],
+        [np.float64(-0.25), np.int64(0), math.nan, -math.inf, np.float64(math.nan)],
     ]
     write_csv(str(path), {"b": 2, "a": "x"}, ["f", "n", "g", "h", "k"], rows, ["floor note"])
     assert path.read_text() == (

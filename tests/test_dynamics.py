@@ -278,6 +278,20 @@ def test_classical_ep_rate_one_way_flux_raises():
         classical_ep_rate(PauliRatesView(w), [0.5, 0.5])
 
 
+def test_classical_ep_rate_reads_a_population_within_tolerance_below_zero_as_zero():
+    # -1e-13 passes the population check, so the ground rung's zero flux leaves the loss edge one-way
+    rates = pauli_rates_from_davies(damping(1.0, 0.5))
+    with pytest.raises(ZeroRateError, match="^one-way flux on edge 1 -> 0$"):
+        classical_ep_rate(rates, [-1e-13, 1.0 + 1e-13])
+
+
+def test_classical_ep_rate_names_the_first_one_way_edge_in_row_major_order():
+    # edges 0-2 and 1-2 carry flux one way only; (n, k) = (0, 2) comes first in row-major order, (2, 0) in column-major
+    w = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(ZeroRateError, match="^one-way flux on edge 2 -> 0$"):
+        classical_ep_rate(PauliRatesView(w), np.full(3, 1.0 / 3.0))
+
+
 def test_classical_ep_rate_input_guards():
     w = np.array([[0.0, 0.5], [1.5, 0.0]])
     with pytest.raises(ValueError):

@@ -35,7 +35,6 @@ from spinphase import (
     ep_vn_general,
     ep_vn_qubit_damping,
     ep_vn_qubit_dephasing,
-    gibbs_state,
     husimi_field,
     make_spin_operators,
     random_state_with_coherence,
@@ -250,7 +249,6 @@ def test_quadrature_report_balance():
     field = husimi_field(bloch_to_rho([0.4, 0.1, -0.2]), grid)
     report = ep_rate_damping_quad(field, bath.channel(OPS))
     assert isinstance(report, EpReport)
-    assert report.route == "quadrature"
     assert report.ds_dt == pytest.approx(report.sigma_dot - report.phi_dot, abs=1e-9)
 
 
@@ -470,7 +468,6 @@ def test_vn_general_matches_qubit_closed_forms():
     for _ in range(20):
         tau = rng.uniform(-0.5, 0.5, size=3)
         report = ep_vn_general(bloch_to_rho(tau), chan, rho_eq)
-        assert report.route == "von-neumann"
         assert report.sigma_dot == pytest.approx(ep_vn_qubit_damping(tau, bath), abs=1e-9)
         assert report.ds_dt == pytest.approx(report.sigma_dot - report.phi_dot, abs=1e-9)
 
@@ -590,7 +587,7 @@ def test_channels_hold_read_only_operators():
     ham = np.array(ops.jz)
     chan = AmplitudeDampingChannel(BathParams.from_nbar(0.8, 1.0 / math.expm1(0.5)), ops, hamiltonian=ham)
     rho = _full_rank_state(j.dim, 3)
-    rho_eq = gibbs_state(ops.jz, 0.5)
+    rho_eq = damping_stationary_state(j, chan.bath.nbar)
     before = ep_vn_general(rho, chan, rho_eq)
     ham[...] = 0.0
     assert ep_vn_general(rho, chan, rho_eq) == before
@@ -657,8 +654,10 @@ def test_vn_rates_match_logm_oracle(two_j):
     nbar = 1.0 / math.expm1(beta * omega)
     chan = AmplitudeDampingChannel(BathParams.from_nbar(loss / (nbar + 1.0), nbar), ops, hamiltonian=ham)
     jumps = [(loss, ops.jminus), (loss * math.exp(-beta * omega), ops.jplus)]
-    rho_eq = gibbs_state(ham, beta)
-    np.testing.assert_allclose(chan.stationary_populations, rho_eq.diagonal().real, rtol=1e-12, atol=0.0)
+    # the Gibbs populations exp(-beta omega m) / Z, written out apart from the channel's closed form
+    gibbs = np.exp(-beta * omega * j.m_values)
+    np.testing.assert_allclose(chan.stationary_populations, gibbs / gibbs.sum(), rtol=1e-12, atol=0.0)
+    rho_eq = damping_stationary_state(j, nbar)
     _assert_rates(ep_vn_general(rho, chan, rho_eq), _logm_rates(rho, ham, jumps, rho_eq))
 
 

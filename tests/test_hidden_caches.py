@@ -16,8 +16,8 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 CACHES = {"lru_cache", "cache"}
 ALLOWED = {
     "entropy_production._reference_log_of": (
-        "the vn_route benchmark workload calls ep_vn_general once per state with one reference state, so its "
-        "logarithm is memoized; the cache goes when the von Neumann route takes stacks (ROADMAP item 4)"
+        "vn_route, a benchmark workload, calls ep_vn_general with rho_eq once per state, so the reference's "
+        "logarithm is memoized; the cache goes when that workload stops passing rho_eq"
     ),
 }
 

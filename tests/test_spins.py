@@ -6,18 +6,14 @@ import pytest
 from spinphase import (
     BlochNormError,
     DimensionError,
-    FreeEnergySplit,
     SpinJ,
     StateValidationError,
     SupportError,
     UnreachableCoherence,
     bloch_to_rho,
     check_density_matrix,
-    figure_coherence_qubit,
-    gibbs_state,
     l1_coherence,
     make_spin_operators,
-    nonequilibrium_free_energy,
     quantum_relative_entropy,
     random_state_with_coherence,
     relative_entropy_of_coherence,
@@ -134,13 +130,6 @@ def test_l1_coherence():
     assert l1_coherence(rho) == pytest.approx(2 * (0.1 + 0.05 + 0.02), abs=1e-14)
 
 
-def test_figure_coherence_qubit():
-    # 2 (tau_x^2 + tau_y^2): the squared transverse Bloch component, doubled
-    assert figure_coherence_qubit([0.0, 0.0, 0.5]) == 0.0
-    assert figure_coherence_qubit([0.6, 0.0, 0.0]) == pytest.approx(0.72, abs=1e-14)
-    assert figure_coherence_qubit([0.3, 0.4, 0.2]) == pytest.approx(0.5, abs=1e-14)
-
-
 def test_von_neumann_entropy_values():
     assert von_neumann_entropy(np.diag([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
     assert von_neumann_entropy(np.eye(3) / 3.0) == pytest.approx(math.log(3.0), abs=1e-12)
@@ -189,50 +178,6 @@ def test_relative_entropy_of_coherence():
 
     expected = h2((1 + 0.3) / 2) - h2((1 + norm) / 2)
     assert relative_entropy_of_coherence(rho) == pytest.approx(expected, abs=1e-12)
-
-
-def test_gibbs_state():
-    h = np.diag([1.0, 0.0, -1.0])
-    np.testing.assert_allclose(gibbs_state(h, 0.0), np.eye(3) / 3.0, atol=1e-14)
-    rho = gibbs_state(h, 1.0)
-    z = math.exp(-1.0) + 1.0 + math.exp(1.0)
-    np.testing.assert_allclose(np.diag(rho), [math.exp(-1.0) / z, 1.0 / z, math.exp(1.0) / z], atol=1e-14)
-    with pytest.raises(ValueError):
-        gibbs_state(h, -0.5)
-
-
-def test_free_energy_split_identity():
-    # total excess above the equilibrium free energy equals T times the relative entropy
-    h = np.diag([0.5, -0.5])
-    t_bath = 0.8
-    rho_eq = gibbs_state(h, 1.0 / t_bath)
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        rho = a @ a.conj().T
-        rho /= np.trace(rho).real
-        split = nonequilibrium_free_energy(rho, h, t_bath)
-        assert isinstance(split, FreeEnergySplit)
-        qre = quantum_relative_entropy(rho, rho_eq)
-        assert split.total - split.f_eq == pytest.approx(t_bath * qre, abs=1e-10)
-        assert split.classical_excess >= -1e-12
-        assert split.quantum_excess >= -1e-12
-
-
-def test_free_energy_split_diagonal_state_has_no_quantum_part():
-    h = np.diag([0.5, -0.5])
-    split = nonequilibrium_free_energy(np.diag([0.9, 0.1]), h, 1.0)
-    assert split.quantum_excess == pytest.approx(0.0, abs=1e-12)
-    assert split.classical_excess > 0.0
-
-
-def test_equilibrium_free_energy_is_minus_t_log_z():
-    h = np.diag([0.5, -0.5])
-    t_bath = 0.7
-    split = nonequilibrium_free_energy(gibbs_state(h, 1.0 / t_bath), h, t_bath)
-    z = math.exp(-0.5 / t_bath) + math.exp(0.5 / t_bath)
-    assert split.f_eq == pytest.approx(-t_bath * math.log(z), abs=1e-12)
-    assert split.total == pytest.approx(split.f_eq, abs=1e-12)
 
 
 def test_random_state_hits_coherence_target():
