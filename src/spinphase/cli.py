@@ -237,8 +237,8 @@ def _build_channel(args, j: SpinJ) -> _Rates:
     """Channel and bound rates from the rate flags, its generator built for a table above spin 1/2.
 
     Every such table reads the d^2 x d^2 generator, so a --j too large to
-    allocate it is named here, before any other work; a qubit table reads
-    closed forms and never builds it.
+    allocate it is named here, before any other work; of the qubit tables
+    only evolve reads it, to build its step map, and it is 4 x 4.
     """
     rates = _rates_from_flags(args, j)
     if j.dim > 2:

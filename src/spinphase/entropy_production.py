@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import AmplitudeDampingChannel, BathParams, DephasingChannel, check_dephasing_rate, dephasing_dissipator
-from .dynamics import check_diagonal_hamiltonian
+from .dynamics import check_diagonal_hamiltonian, rung_log_ratio
 from .dynamics import apply_liouvillian  # noqa: F401  (bench/tracer.py wraps this name)
 from .errors import DimensionError, PurityDivergence, SupportError, TemperatureDivergence
 from .phase_space import FLOOR_NOTE, HusimiField, damping_flux, floor_mask
@@ -127,17 +127,19 @@ def ep_vn_qubit_damping(tau, bath: BathParams) -> float:
 
     gamma_bar [ (atanh(tau) / (2 tau)) (tau^2 + tau_z^2 - 2 tau_z tau_bar_z)
                 - atanh(tau_bar_z) (tau_z - tau_bar_z) ].
-    Diverges for pure states and in the zero-temperature bath limit.
+    atanh(tau_bar_z) = ln(nbar / (nbar + 1)) / 2 is read from nbar, so it
+    keeps its digits as tau_bar_z -> -1 and is finite at any nbar > 0.
+    Diverges for pure states and at a zero-temperature bath (nbar = 0).
     """
     norm, perp2, tz = _bloch_parts(tau)
     if norm >= 1.0 - PURITY_CUT:
         raise PurityDivergence(f"Bloch norm {norm:.15g} at the divergence")
-    tb = bath.tau_bar_z
-    if tb <= -1.0 + PURITY_CUT:
+    if bath.nbar == 0.0:
         raise TemperatureDivergence("zero-temperature bath: atanh(tau_bar_z) diverges")
+    tb = bath.tau_bar_z
     tau2 = perp2 + tz * tz
     return bath.gamma_bar * (
-        0.5 * _atanh_over(norm) * (tau2 + tz * tz - 2.0 * tz * tb) - math.atanh(tb) * (tz - tb)
+        0.5 * _atanh_over(norm) * (tau2 + tz * tz - 2.0 * tz * tb) - 0.5 * rung_log_ratio(bath.nbar) * (tz - tb)
     )
 
 
@@ -295,12 +297,12 @@ def vn_rates(states: np.ndarray, channel) -> tuple:
     ln rho_eq is diag(channel.stationary_log_populations).  One stacked
     validation, one batched eigh, one GEMM with the channel's generator and
     one contraction per trace; a state whose smallest eigenvalue is below
-    PURITY_CUT gets NaN in its row.  Raises TemperatureDivergence at a
-    zero-temperature bath, and BasisError for damping under a non-diagonal
-    Hamiltonian.
+    PURITY_CUT gets NaN in its row.  Raises BasisError under a non-diagonal
+    Hamiltonian unless the reference is uniform, a fixed point of every
+    Hamiltonian, then TemperatureDivergence at a zero-temperature bath.
     """
     log_eq = channel.stationary_log_populations
-    if isinstance(channel, AmplitudeDampingChannel):
+    if (log_eq != log_eq[0]).any():
         check_diagonal_hamiltonian(channel)
     if not np.isfinite(log_eq).all():
         raise TemperatureDivergence("zero-temperature bath: ln rho_eq diverges")

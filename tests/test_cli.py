@@ -637,6 +637,17 @@ def test_low_temperature_von_neumann_column_is_finite(tmp_path):
         assert len(sigma_vn) == count and all(math.isfinite(x) and x > 0.0 for x in sigma_vn)
 
 
+def test_qubit_von_neumann_column_is_finite_at_any_positive_nbar(tmp_path):
+    # tau_bar_z rounds to within 1e-12 of -1 here; the closed form reads atanh(tau_bar_z) from nbar instead
+    assert run(["sweep-coherence", "--channel", "damping", "--j", "1/2", "--gamma", "1", "--nbar", "1e-13",
+                "--points", "3", "--grid", "16x16", "--out", tmp_path / "s.csv"]) == 0
+    _, header, rows, _ = load_csv(tmp_path / "s.csv")
+    sigma_vn = column(header, rows, "sigma_vn")
+    # the last point is the pure state on the rim, where the von Neumann rate diverges
+    assert all(math.isfinite(x) and x > 0.0 for x in sigma_vn[:-1]) and math.isnan(sigma_vn[-1])
+    assert column(header, rows, "coherence_l1")[-1] == 1.0
+
+
 def test_von_neumann_column_above_spin_half_is_one_stacked_pass(tmp_path, monkeypatch):
     from spinphase import cli
 

@@ -28,6 +28,7 @@ from spinphase import (
     qubit_damping_bloch,
     qubit_dephasing_bloch,
     rho_to_bloch,
+    vn_rates,
 )
 from spinphase import dynamics
 from spinphase.spins import PAULI_X
@@ -215,6 +216,17 @@ def test_evolve_rejects_bad_steps():
         evolve(chan, np.eye(2, dtype=complex) / 2.0, -1.0, 10)
 
 
+def test_evolve_rejects_a_state_of_another_dimension(monkeypatch):
+    calls = []
+    original = dynamics.apply_liouvillian
+    monkeypatch.setattr(dynamics, "apply_liouvillian", lambda *args: calls.append(1) or original(*args))
+    chan = damping(1.0, 0.5, make_spin_operators(SpinJ(2)))
+    with pytest.raises(DimensionError, match=r"state shape \(2, 2\) does not match channel dimension 3"):
+        evolve(chan, np.eye(2, dtype=complex) / 2.0, 1.0, 10)
+    # named before any work: the channel's generator is not built
+    assert calls == []
+
+
 def test_evolve_warns_when_step_breaks_positivity():
     # one huge step overshoots the coherence decay and leaves the Bloch ball
     chan = DephasingChannel(lam=10.0, ops=OPS)
@@ -386,20 +398,16 @@ def test_evolve_warns_on_coarse_damping_of_a_pure_state():
 
 
 def test_evolve_generator_calls_do_not_grow_with_steps(monkeypatch):
+    # the channel's Lindbladian is built once, by its generator, and every step map and vN rate reads that build
     calls = []
     original = dynamics.apply_liouvillian
-
-    def counted(spec, rho):
-        calls.append(1)
-        return original(spec, rho)
-
-    monkeypatch.setattr(dynamics, "apply_liouvillian", counted)
+    monkeypatch.setattr(dynamics, "apply_liouvillian", lambda *args: calls.append(1) or original(*args))
     chan = damping(1.0, 0.5)
     rho0 = bloch_to_rho([0.5, 0.2, 0.3])
     evolve(chan, rho0, 1.0, 2)
-    short = len(calls)
-    evolve(chan, rho0, 1.0, 200)
-    assert len(calls) - short == short
+    traj = evolve(chan, rho0, 1.0, 200)
+    vn_rates(traj.states, chan)
+    assert len(calls) == 1
 
 
 def test_channel_generator_is_built_once_read_only_and_equals_the_liouvillian(monkeypatch):
@@ -441,7 +449,7 @@ def test_dephasing_weights_match_the_double_commutator(two_j):
 
 
 def longdouble_oracle(spec, rho0, t_max, n_steps):
-    """evolve's RK4 step map, built the same way, applied one step at a time in extended precision.
+    """The RK4 step map of four stage calls on the basis stack, applied step by step in extended precision.
 
     Each step is re-hermitized and trace-renormalized, so the oracle shows
     what doubling and the single batched clean-up at the end cost in accuracy.

@@ -745,8 +745,8 @@ def _mp_log_eq(two_j, nbar):
     return [mpmath.log(w) - log_z for w in weights]
 
 
-def _mp_damping_generator(rho, two_j, gamma, nbar):
-    """L[rho] of ladder damping in mpmath: loss gamma (nbar + 1) through J-, gain gamma nbar through J+."""
+def _mp_damping_generator(rho, two_j, loss, gain):
+    """L[rho] of ladder damping in mpmath: rate loss through J-, rate gain through J+."""
     d = two_j + 1
     jplus = mpmath.zeros(d, d)
     for r in range(d - 1):
@@ -754,7 +754,7 @@ def _mp_damping_generator(rho, two_j, gamma, nbar):
         jplus[r, r + 1] = mpmath.sqrt(mpmath.mpf(two_j) / 2 * (mpmath.mpf(two_j) / 2 + 1) - m * (m + 1))
     jminus = jplus.T
     out = mpmath.zeros(d, d)
-    for rate, l_op in ((gamma * (nbar + 1), jminus), (gamma * nbar, jplus)):
+    for rate, l_op in ((loss, jminus), (gain, jplus)):
         ldl = l_op.T * l_op
         out += rate * (l_op * rho * l_op.T - (ldl * rho + rho * ldl) / 2)
     return out
@@ -770,7 +770,7 @@ def test_vn_rates_at_low_temperature_match_an_mpmath_logm_oracle(two_j):
         rho_mp = mpmath.matrix(rho.tolist())
         log_rho = mpmath.logm(rho_mp)
         for nbar in (1e-3, 1e-2, 0.03):
-            gen = _mp_damping_generator(rho_mp, two_j, mpmath.mpf(1), mpmath.mpf(nbar))
+            gen = _mp_damping_generator(rho_mp, two_j, mpmath.mpf(nbar) + 1, mpmath.mpf(nbar))
             log_eq = _mp_log_eq(two_j, nbar)
             ds_dt = -mpmath.re(sum(gen[a, b] * log_rho[b, a] for a in range(two_j + 1) for b in range(two_j + 1)))
             flux = mpmath.re(mpmath.fsum(gen[a, a] * log_eq[a] for a in range(two_j + 1)))
@@ -778,6 +778,35 @@ def test_vn_rates_at_low_temperature_match_an_mpmath_logm_oracle(two_j):
             got = vn_rates(rho[None], BathParams.from_nbar(1.0, nbar).channel(ops))
             for value, ref in zip(got, expected):
                 assert abs(value[0] - ref) <= 1e-12 * abs(expected[0])
+
+
+QUBIT_BATHS = [("nbar", nbar) for nbar in (1e-13, 1e-10, 1e-6, 1e-3, 0.5)] + [
+    ("tau_bar_z", tau_bar_z) for tau_bar_z in (0.0, -0.999999, -1.0 + 1e-13)
+]
+
+
+@pytest.mark.parametrize("given, value", QUBIT_BATHS)
+def test_vn_qubit_damping_closed_form_matches_an_mpmath_logm_oracle(given, value):
+    # atanh(tau_bar_z) = ln(nbar / (nbar + 1)) / 2 near tau_bar_z = -1 needs the digits of whichever of the two the
+    # bath was given: atanh of the tau_bar_z rounded from nbar 1e-10 is off by 3.7e-9 relative on this state
+    tau = [0.3, 0.2, -0.4]
+    rho = bloch_to_rho(tau)
+    with mpmath.workdps(50):
+        if given == "nbar":
+            bath, g_bar = BathParams.from_nbar(1.0, value), 2 * mpmath.mpf(value) + 1
+            t = -1 / g_bar
+        else:
+            bath, t, g_bar = BathParams.from_tau_bar(1.0, value), mpmath.mpf(value), mpmath.mpf(1)
+        rho_mp = mpmath.matrix(rho.tolist())
+        log_rho = mpmath.logm(rho_mp)
+        # the stationary populations are (1 + t) / 2 up and (1 - t) / 2 down, and the loss and gain rates
+        # g_bar (1 -+ t) / 2 balance them
+        gen = _mp_damping_generator(rho_mp, 1, g_bar * (1 - t) / 2, g_bar * (1 + t) / 2)
+        log_eq = [mpmath.log((1 + t) / 2), mpmath.log((1 - t) / 2)]
+        sigma = -mpmath.re(mpmath.fsum(gen[a, b] * (log_rho[b, a] - (log_eq[a] if a == b else 0))
+                                       for a in range(2) for b in range(2)))
+        expected = float(sigma)
+    assert abs(ep_vn_qubit_damping(tau, bath) - expected) <= 1e-13 * expected
 
 
 def test_vn_rates_low_temperature_reference_values():
@@ -833,14 +862,22 @@ def test_vn_rates_diverge_at_zero_temperature_and_need_a_diagonal_hamiltonian():
     with pytest.raises(TemperatureDivergence):
         vn_rates(states, BathParams.from_nbar(1.0, 0.0).channel(ops))
     bath = BathParams.from_nbar(1.0, 0.5)
-    with pytest.raises(BasisError):
-        vn_rates(states, AmplitudeDampingChannel(bath, ops, hamiltonian=np.array(ops.jx)))
-    # a diagonal Hamiltonian keeps the thermal state stationary, so it is the reference
-    chan = AmplitudeDampingChannel(bath, ops, hamiltonian=1.1 * np.array(ops.jz))
-    expected = ep_vn_general(states[0], chan, damping_stationary_state(ops.j, 0.5))
-    got = vn_rates(states, chan)
-    for value, ref in zip(got, _report_rates(expected)):
-        assert abs(value[0] - ref) <= 1e-13 * abs(expected.sigma_dot)
+    # a non-uniform reference is stationary only under a diagonal Hamiltonian, at zero temperature too
+    for nbar in (0.5, 0.0):
+        chan = AmplitudeDampingChannel(BathParams.from_nbar(1.0, nbar), ops, hamiltonian=np.array(ops.jx))
+        with pytest.raises(BasisError):
+            vn_rates(states, chan)
+    # a diagonal Hamiltonian keeps the thermal state stationary, so it is the reference; and I/d is a fixed point
+    # of the infinite-temperature bath under any Hamiltonian
+    hot = BathParams.from_tau_bar(1.0, 0.0)
+    for chan, rho_eq in (
+        (AmplitudeDampingChannel(bath, ops, hamiltonian=1.1 * np.array(ops.jz)), damping_stationary_state(ops.j, 0.5)),
+        (AmplitudeDampingChannel(hot, ops, hamiltonian=np.array(ops.jx)), np.eye(3, dtype=complex) / 3.0),
+    ):
+        expected = ep_vn_general(states[0], chan, rho_eq)
+        got = vn_rates(states, chan)
+        for value, ref in zip(got, _report_rates(expected)):
+            assert abs(value[0] - ref) <= 1e-13 * abs(expected.sigma_dot)
 
 
 @pytest.mark.parametrize("two_j", [1, 4, 8])

@@ -6,7 +6,9 @@ line.  The layering gate below holds `dynamics` to matrices: channels have
 no phase-space form, since the phase-space dissipator is the Husimi
 function of the matrix one.  The public-surface gate fails on a name the
 package exports that only its own module and the tests read, unless the
-allow-list below names it with the reason it stays.
+allow-list below names it with the reason it stays.  The dispatch gate
+fails on an `isinstance` test against a channel class anywhere in the
+package: each channel carries what its rates read.
 """
 
 import ast
@@ -119,3 +121,49 @@ def test_every_export_is_read_outside_its_module_or_allowed():
     assert [name for name in unread if name not in UNREAD_EXPORTS] == []
     # an entry whose name is gone or has found a reader leaves the list
     assert sorted(UNREAD_EXPORTS) == sorted(name for name in unread if name in UNREAD_EXPORTS)
+
+
+def _name_of(node) -> str | None:
+    """The name a Name node holds, or the last part of an Attribute's dotted name."""
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def channel_classes(sources) -> set:
+    """Channel and every class in sources that derives from it, directly or through another channel class."""
+    bases = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {_name_of(base) for base in node.bases}
+    found = {"Channel"}
+    while more := {name for name, parents in bases.items() if parents & found} - found:
+        found |= more
+    return found
+
+
+def channel_isinstance_lines(source: str, channels: set) -> list:
+    """Line of each isinstance call in source whose class argument, or a member of its tuple, names one of channels."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and _name_of(node.func) == "isinstance" and len(node.args) == 2:
+            spec = node.args[1]
+            if any(_name_of(name) in channels for name in (spec.elts if isinstance(spec, ast.Tuple) else [spec])):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_the_dispatch_check_finds_channel_classes_by_name_attribute_and_tuple():
+    source = "class A(Channel): pass\nclass B(m.A): pass\nclass C: pass\n"
+    channels = channel_classes([source])
+    assert channels == {"Channel", "A", "B"}
+    calls = "isinstance(x, B)\nisinstance(x, (int, m.A))\nisinstance(x, (int, C))\nisinstance(x, Channel)\n"
+    assert channel_isinstance_lines(calls, channels) == [1, 2, 4]
+
+
+CHANNELS = channel_classes(path.read_text(encoding="utf-8") for path in MODULES)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_dispatches_on_a_channel_class(path):
+    assert {"UnitaryChannel", "DephasingChannel", "AmplitudeDampingChannel"} <= CHANNELS
+    assert channel_isinstance_lines(path.read_text(encoding="utf-8"), CHANNELS) == []

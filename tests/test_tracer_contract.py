@@ -54,7 +54,7 @@ def test_cli_calls_go_through_the_traced_names(tmp_path):
     # a qubit row takes the von Neumann closed form, one call per row
     assert metrics["entropy_production.vn_calls"] == rows
     assert metrics["dynamics.steps"] == 70
-    assert metrics["dynamics.liouvillian_calls"] == 4  # one RK4 step on the basis stack builds the step map
+    assert metrics["dynamics.liouvillian_calls"] == 1  # the channel's generator, from which evolve builds its step map
 
 
 def test_a_traced_evolve_above_spin_half_completes(tmp_path):
