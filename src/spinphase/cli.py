@@ -89,7 +89,10 @@ def _parse_j(text: str) -> SpinJ:
 
 
 def _grid_for(text: str, j: SpinJ) -> SphereGrid:
-    """The --grid sphere grid, checked against the spin's band limit before any work is done."""
+    """The --grid sphere grid, checked against the spin's band limit before any work is done.
+
+    A grid too large to allocate is a --grid error too.
+    """
     try:
         n_theta, n_phi = (int(part) for part in text.lower().split("x"))
     except ValueError:
@@ -97,7 +100,7 @@ def _grid_for(text: str, j: SpinJ) -> SphereGrid:
     try:
         grid = SphereGrid(n_theta, n_phi)
         grid.check_band_limit(j)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise CliError(f"--grid: {exc}") from None
     return grid
 

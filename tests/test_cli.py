@@ -352,6 +352,9 @@ SPIN_200_DAMPING = ["--channel", "damping", "--gamma", "1", "--nbar", "0.5", *SP
         (["sweep-coherence", "--channel", "dephasing", "--lambda", "1", *SPIN_200, "--points", "2"],
          "error: --j: "),
         (["evolve", *SPIN_200_DAMPING, "--steps", "2"], "error: --j: "),
+        # a grid whose Gauss-Legendre table cannot be allocated at all (10**6 theta nodes ask 1.8 TiB and fail at once)
+        (["sweep-coherence", "--channel", "dephasing", "--lambda", "1", "--j", "1/2", "--points", "3", "--grid",
+          "1000000x64"], "error: --grid: Unable to allocate"),
     ],
 )
 def test_non_finite_input_is_a_named_error(tmp_path, capsys, argv, named):

@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from mpmath.calculus.quadrature import GaussLegendre
 from scipy.linalg import expm
 
 from spinphase import (
@@ -31,6 +37,7 @@ from spinphase import (
 )
 
 QUBIT = SpinJ(1)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def random_rho(rng, d):
@@ -87,6 +94,60 @@ def test_grid_guards():
     grid = SphereGrid(16, 16)
     with pytest.raises(DimensionError):
         grid.integrate(np.ones((8, 8)))
+
+
+@pytest.mark.parametrize("degree", range(1, 8), ids=lambda degree: f"n{3 * 2 ** (degree - 1)}")
+def test_theta_rule_matches_gauss_legendre_at_40_digits(degree):
+    # mpmath's rule of this degree has 3 * 2^(degree - 1) nodes, found by Newton's method at 40 digits
+    with mpmath.workdps(40):
+        nodes = GaussLegendre(mpmath.mp).calc_nodes(degree, mpmath.mp.prec)
+        exact = sorted((mpmath.acos(x), w) for x, w in nodes)
+        grid = SphereGrid(len(exact), 4)
+        for theta, weight, (exact_theta, exact_weight) in zip(grid.theta_nodes, grid.theta_weights, exact, strict=True):
+            assert abs(theta - exact_theta) <= 1e-15 * exact_theta
+            assert abs(weight - exact_weight) <= 1e-13 * exact_weight
+
+
+def test_theta_rule_closed_forms():
+    two = SphereGrid(2, 4)
+    np.testing.assert_allclose(two.theta_nodes, [math.acos(1 / math.sqrt(3)), math.pi - math.acos(1 / math.sqrt(3))],
+                               rtol=1e-15)
+    np.testing.assert_allclose(two.theta_weights, [1.0, 1.0], rtol=1e-15)
+    three = SphereGrid(3, 4)
+    edge = math.acos(math.sqrt(0.6))
+    np.testing.assert_allclose(three.theta_nodes, [edge, math.pi / 2, math.pi - edge], rtol=1e-15)
+    np.testing.assert_allclose(three.theta_weights, [5 / 9, 8 / 9, 5 / 9], rtol=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 24, 33, 128, 513])
+def test_theta_rule_mirrors_about_the_equator(n):
+    grid = SphereGrid(n, 4)
+    theta, weights = grid.theta_nodes, grid.theta_weights
+    assert np.all(np.diff(theta) > 0)
+    lower = np.arange(n // 2)
+    assert np.array_equal(theta[n - 1 - lower], np.pi - theta[lower])
+    assert np.array_equal(weights[::-1], weights)
+    if n % 2:
+        assert theta[n // 2] == np.pi / 2
+
+
+def test_a_grid_runs_no_eigen_solve():
+    # an eigen-solve per grid, or importing numpy.polynomial for leggauss, costs every fresh process
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('eigen-solve')\n"
+        "for name in ('eig', 'eigh', 'eigvals', 'eigvalsh'):\n"
+        "    setattr(np.linalg, name, refuse)\n"
+        "from spinphase import SphereGrid\n"
+        "SphereGrid(512, 4)\n"
+        "assert 'numpy.polynomial' not in sys.modules\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
 
 
 def test_coherent_amplitudes_poles_and_equator():
