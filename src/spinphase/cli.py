@@ -3,7 +3,7 @@
 Every output is a CSV with `#`-prefixed metadata, full-precision floats, and
 a trailing comment block of collected warnings, so a run can be audited and
 reproduced byte for byte from the file alone.  State-only columns, and the
-von Neumann column above spin 1/2, each take one pass over a table's stack.
+von Neumann column at every spin, each take one pass over a table's stack.
 The phase-space columns (Husimi fields, quadrature rates, Wehrl entropy)
 take the stack in blocks of at most BLOCK_NODES grid nodes, each block one
 stacked call of each library function: one state per block at 128^2,
@@ -14,6 +14,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 import warnings
 from collections.abc import Callable
@@ -36,14 +37,12 @@ from .entropy_production import (
     ep_qubit_dephasing_closed,
     ep_rate_damping_quad,
     ep_rate_dephasing_quad,
-    ep_vn_qubit_damping,
-    ep_vn_qubit_dephasing,
     vn_rates,
 )
 from .entropy_production import ep_vn_general, vn_rate_dephasing  # noqa: F401  (bench/tracer.py wraps these names)
+from .entropy_production import ep_vn_qubit_damping, ep_vn_qubit_dephasing  # noqa: F401  (bench/tracer.py wraps these)
 from .errors import (
     PositivityWarning,
-    PurityDivergence,
     QFloorWarning,
     StepCountError,
     TemperatureDivergence,
@@ -160,8 +159,7 @@ def write_csv(path: str, metadata: dict, header: list, rows: list, notes: list) 
     Every row has the cell kinds of the first, whose format string then
     formats each row in one %; a missing value is a NaN cell, which reads nan.
     """
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key in sorted(metadata):
             fh.write(f"# {key} = {metadata[key]}\n")
@@ -176,33 +174,26 @@ def write_csv(path: str, metadata: dict, header: list, rows: list, notes: list) 
 class _Rates(NamedTuple):
     """A channel with its rates bound: the one place the CLI tells channel kinds apart.
 
-    quad(field) is the quadrature EpReport, closed(tau) and vn(tau) the
-    qubit closed forms of the phase-space and von Neumann rates, time the
-    scaled-time column (name, scale) and meta the rate metadata.  The bound
-    functions look the library functions up as module globals when they
-    run, so whatever is bound to those names then (the benchmark's tracer,
-    say) sees every call.
+    quad(field) is the quadrature EpReport, closed(tau) the qubit closed
+    form of the phase-space rate, sigma_vn(states) the von Neumann column of
+    any table, time the scaled-time column (name, scale) and meta the rate
+    metadata.  The bound functions look the library functions up as module
+    globals when they run, so whatever is bound to those names then (the
+    benchmark's tracer, say) sees every call.
     """
 
     channel: object
     quad: Callable
     closed: Callable
-    vn: Callable
     time: tuple
     meta: dict
 
-    def sigma_vn(self, states, taus) -> list:
-        """Von Neumann rates, the closed form at each Bloch vector of taus or one vn_rates pass; NaN where divergent."""
+    def sigma_vn(self, states) -> list:
+        """Von Neumann rates of a stack, one vn_rates pass; NaN at a rank-deficient state, or all NaN if divergent."""
         try:
-            return vn_rates(states, self.channel)[0].tolist() if taus is None else [self._vn_or_nan(t) for t in taus]
+            return vn_rates(states, self.channel)[0].tolist()
         except TemperatureDivergence:
             return [math.nan] * len(states)
-
-    def _vn_or_nan(self, tau) -> float:
-        try:
-            return self.vn(tau)
-        except PurityDivergence:
-            return math.nan
 
 
 def _dephasing(lam: float, j: SpinJ) -> _Rates:
@@ -211,7 +202,6 @@ def _dephasing(lam: float, j: SpinJ) -> _Rates:
         channel=channel,
         quad=lambda field: ep_rate_dephasing_quad(field, channel),
         closed=lambda tau: ep_qubit_dephasing_closed(tau, lam),
-        vn=lambda tau: ep_vn_qubit_dephasing(tau, lam),
         time=("lambda_t", lam) if lam > 0 else ("t", 1.0),
         meta={"lambda": repr(lam)},
     )
@@ -223,7 +213,6 @@ def _damping(bath: BathParams, j: SpinJ, meta: dict) -> _Rates:
         channel=channel,
         quad=lambda field: ep_rate_damping_quad(field, channel),
         closed=lambda tau: ep_qubit_damping_closed(tau, bath),
-        vn=lambda tau: ep_vn_qubit_damping(tau, bath),
         time=("gamma_bar_t", bath.gamma_bar) if bath.gamma_bar > 0 else ("t", 1.0),
         meta=meta,
     )
@@ -237,39 +226,34 @@ def _reject_unread(flags: dict, reader: str) -> None:
 
 
 def _build_channel(args, j: SpinJ) -> _Rates:
-    """Channel and bound rates from the rate flags, its generator built for a table above spin 1/2.
+    """Channel and bound rates from the rate flags (the library range-checks the rates), its generator built.
 
-    Every such table reads the d^2 x d^2 generator, so a --j too large to
-    allocate it is named here, before any other work; of the qubit tables
-    only evolve reads it, to build its step map, and it is 4 x 4.
+    Every table reads the d^2 x d^2 generator, so a --j too large to
+    allocate it is named here, before any other work.
     """
-    rates = _rates_from_flags(args, j)
-    if j.dim > 2:
-        try:
-            rates.channel.generator
-        except MemoryError as exc:
-            raise CliError(f"--j: {exc}") from None
-    return rates
-
-
-def _rates_from_flags(args, j: SpinJ) -> _Rates:
-    """Channel and bound rates from the rate flags; the library range-checks the rates."""
     if args.channel == "dephasing":
         unread = {"--gamma": args.gamma, "--nbar": args.nbar, "--tau-bar-z": args.tau_bar_z}
         _reject_unread(unread, "--channel dephasing")
         if args.lam is None:
             raise CliError("--lambda is required for --channel dephasing")
-        return _dephasing(args.lam, j)
-    _reject_unread({"--lambda": args.lam}, "--channel damping")
-    if args.tau_bar_z is not None:
-        if args.gamma is not None or args.nbar is not None:
-            raise CliError("--tau-bar-z is mutually exclusive with --gamma/--nbar")
-        bath = BathParams.from_tau_bar(1.0, args.tau_bar_z)
-        return _damping(bath, j, {"tau_bar_z": repr(args.tau_bar_z), "gamma_bar": repr(1.0)})
-    if args.gamma is None or args.nbar is None:
-        raise CliError("--channel damping needs --gamma and --nbar (or --tau-bar-z)")
-    bath = BathParams.from_nbar(args.gamma, args.nbar)
-    return _damping(bath, j, {"gamma": repr(args.gamma), "nbar": repr(args.nbar)})
+        rates = _dephasing(args.lam, j)
+    else:
+        _reject_unread({"--lambda": args.lam}, "--channel damping")
+        if args.tau_bar_z is not None:
+            if args.gamma is not None or args.nbar is not None:
+                raise CliError("--tau-bar-z is mutually exclusive with --gamma/--nbar")
+            bath = BathParams.from_tau_bar(1.0, args.tau_bar_z)
+            rates = _damping(bath, j, {"tau_bar_z": repr(args.tau_bar_z), "gamma_bar": repr(1.0)})
+        elif args.gamma is None or args.nbar is None:
+            raise CliError("--channel damping needs --gamma and --nbar (or --tau-bar-z)")
+        else:
+            bath = BathParams.from_nbar(args.gamma, args.nbar)
+            rates = _damping(bath, j, {"gamma": repr(args.gamma), "nbar": repr(args.nbar)})
+    try:
+        rates.channel.generator
+    except MemoryError as exc:
+        raise CliError(f"--j: {exc}") from None
+    return rates
 
 
 class _PhaseSpace(NamedTuple):
@@ -396,22 +380,16 @@ def cmd_evolve(args) -> int:
     state_names, state_values = _state_table(traj.states, j)
     s_vn = von_neumann_entropy(traj.states).tolist()
     c_l1 = l1_coherence(traj.states).tolist()
-    sigma_vn = rates.sigma_vn(traj.states, state_values if is_qubit else None)
+    sigma_vn = rates.sigma_vn(traj.states)
     phase, notes = _run_rows(rates, grid, traj.states, with_entropy=True)
-    rows = []
-    for i, t in enumerate(traj.times):
-        cells = [t * t_scale, *state_values[i].tolist()]
-        cells += [s_vn[i], phase.s_q[i], c_l1[i], phase.sigma[i]]
-        if is_qubit:
-            cells.append(rates.closed(state_values[i]))
-        cells += [sigma_vn[i], phase.phi_dot[i], len(phase.notes[i])]
-        rows.append(cells)
-
-    header = [t_name, *state_names, "s_vn", "s_q", "c_l1", "sigma_quad"]
-    if is_qubit:
-        header.append("sigma_closed")
+    closed = [[rates.closed(tau)] if is_qubit else [] for tau in state_values]
+    rows = [
+        [t * t_scale, *state_values[i].tolist(), s_vn[i], phase.s_q[i], c_l1[i], phase.sigma[i], *closed[i],
+         sigma_vn[i], phase.phi_dot[i], len(phase.notes[i])]
+        for i, t in enumerate(traj.times)
+    ]
+    header = [t_name, *state_names, "s_vn", "s_q", "c_l1", "sigma_quad", *(["sigma_closed"] if is_qubit else [])]
     header += ["sigma_vn", "phi_dot", "warnings_count"]
-
     meta = _common_metadata(args, j, grid, rates)
     meta.update({"command": "evolve", "tmax": repr(args.tmax), "steps": args.steps})
     if args.seed is not None:
@@ -428,19 +406,18 @@ def cmd_evolve(args) -> int:
 SWEEP_HEADER = ["coherence_fig", "coherence_l1", "sigma_wehrl", "sigma_vn"]
 
 
-def _sweep_table(rates: _Rates, grid: SphereGrid, states, taus, coherence_fig) -> tuple:
-    """SWEEP_HEADER rows and notes of states whose Bloch vectors (None: a stack for the matrix vN route) are taus."""
-    sigma_vn = rates.sigma_vn(states, taus)
+def _sweep_table(rates: _Rates, grid: SphereGrid, states, coherence_fig) -> tuple:
+    """SWEEP_HEADER rows and notes of a stack of states."""
+    sigma_vn = rates.sigma_vn(states)
     c_l1 = l1_coherence(states).tolist()
     phase, notes = _run_rows(rates, grid, states)
     return [[coherence_fig[i], c_l1[i], phase.sigma[i], sigma_vn[i]] for i in range(len(states))], notes
 
 
 def _qubit_sweep_states(tau_z: float, n_points: int) -> tuple:
-    """(states, Bloch vectors, figure coherences) of the transverse sweep at fixed tau_z, out to the pure states."""
+    """(states, figure coherences) of the transverse sweep at fixed tau_z, out to the pure states."""
     perps = _spaced(math.sqrt(max(0.0, 1.0 - tau_z * tau_z)), n_points)
-    taus = [np.array([perp, 0.0, tau_z]) for perp in perps]
-    return [bloch_to_rho(tau) for tau in taus], taus, 2.0 * perps * perps
+    return np.array([bloch_to_rho([perp, 0.0, tau_z]) for perp in perps]), 2.0 * perps * perps
 
 
 def cmd_sweep_coherence(args) -> int:
@@ -469,7 +446,7 @@ def cmd_sweep_coherence(args) -> int:
         if args.seed is None or args.coherence is None:
             raise CliError("dim > 2 sweeps need --seed and --coherence (the sweep's maximum)")
         states = _draw(j, args.coherence, args.seed, args.points)
-        rows, notes = _sweep_table(rates, grid, states, None, [math.nan] * args.points)
+        rows, notes = _sweep_table(rates, grid, states, [math.nan] * args.points)
         meta.update({"seed": args.seed, "coherence_max": repr(args.coherence)})
     write_csv(args.out, meta, SWEEP_HEADER, rows, notes)
     return 0
@@ -645,9 +622,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list) -> list:
+    """argv with `--flag -0.5,0,0` passed as `--flag=-0.5,0,0`, which argparse would read as two flags."""
+    joined = []
+    for token in argv:
+        if joined and re.match(r"-[\d.]", token) and re.fullmatch(r"--[\w-]+", joined[-1]):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "fig":
             return cmd_fig(args)

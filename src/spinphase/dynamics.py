@@ -90,7 +90,11 @@ class DephasingChannel(Channel):
         check_dephasing_rate(self.lam)
         object.__setattr__(self, "hamiltonian", read_only(self.hamiltonian))
         # the dissipator scales each entry, so its value at rho = 1 is the weight table
-        object.__setattr__(self, "weights", read_only(dephasing_dissipator(self.lam, self.ops, 1.0)))
+        with np.errstate(over="ignore"):
+            weights = dephasing_dissipator(self.lam, self.ops, 1.0)
+        if not np.isfinite(weights).all():
+            raise ValueError(f"dephasing rate {self.lam} overflows the dissipator weights at dim {self.ops.j.dim}")
+        object.__setattr__(self, "weights", read_only(weights))
         # unital, so the stationary state is uniform, as at infinite temperature
         object.__setattr__(self, "stationary_log_populations", damping_stationary_log_populations(self.ops.j, math.inf))
 

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import column, load_csv
+from conftest import column, finite, load_csv
+from spinphase import BathParams, bloch_to_rho, ep_vn_qubit_damping, ep_vn_qubit_dephasing
 from spinphase.cli import main, read_state_file
 
 
@@ -355,6 +356,9 @@ SPIN_200_DAMPING = ["--channel", "damping", "--gamma", "1", "--nbar", "0.5", *SP
         # a grid whose Gauss-Legendre table cannot be allocated at all (10**6 theta nodes ask 1.8 TiB and fail at once)
         (["sweep-coherence", "--channel", "dephasing", "--lambda", "1", "--j", "1/2", "--points", "3", "--grid",
           "1000000x64"], "error: --grid: Unable to allocate"),
+        # a finite rate whose dissipator weights, lambda (m - m')^2 / 2, overflow at this spin
+        (["sweep-coherence", "--channel", "dephasing", "--lambda", "1e308", "--j", "2", "--seed", "1", "--coherence",
+          "0.5", "--points", "3", "--grid", "16x16"], "dephasing rate"),
     ],
 )
 def test_non_finite_input_is_a_named_error(tmp_path, capsys, argv, named):
@@ -707,3 +711,80 @@ def test_evolve_rows_across_a_block_boundary_are_each_states_own(tmp_path):
                 noted += len(report.warnings)
     # the coherent state underflows the floor near its antipode until dephasing mixes it
     assert noted > 0
+
+
+# (rate flags, the von Neumann closed form at a Bloch vector)
+QUBIT_VN_CLOSED_FORMS = {
+    "dephasing": (["--channel", "dephasing", "--lambda", "0.7"], lambda tau: ep_vn_qubit_dephasing(tau, 0.7)),
+    "damping": (["--channel", "damping", "--gamma", "1.3", "--nbar", "0.4"],
+                lambda tau: ep_vn_qubit_damping(tau, BathParams.from_nbar(1.3, 0.4))),
+    "tau_bar_z": (["--channel", "damping", "--tau-bar-z=-0.3"],
+                  lambda tau: ep_vn_qubit_damping(tau, BathParams.from_tau_bar(1.0, -0.3))),
+}
+
+
+def assert_vn_column_is_the_closed_form(taus, sigma_vn, closed, rtol, scale=None):
+    """Each cell is nan exactly where the state's smallest eigenvalue is below 1e-12, else the closed form.
+
+    A cell is within rtol of its closed form, or of scale when one is given.
+    """
+    assert len(taus) == len(sigma_vn)
+    for tau, cell in zip(taus, sigma_vn):
+        rank_deficient = np.linalg.eigvalsh(bloch_to_rho(tau))[0] < 1e-12
+        assert math.isnan(cell) == rank_deficient
+        if not rank_deficient:
+            expected = closed(tau)
+            assert abs(cell - expected) <= rtol * (abs(expected) if scale is None else scale)
+
+
+@pytest.mark.parametrize("case", list(QUBIT_VN_CLOSED_FORMS))
+def test_qubit_von_neumann_column_is_the_closed_form(tmp_path, case):
+    # the CLI takes sigma_vn from the matrix route, so the closed forms check it independently
+    flags, closed = QUBIT_VN_CLOSED_FORMS[case]
+    sweep, trajectory = tmp_path / "s.csv", tmp_path / "e.csv"
+    assert run(["sweep-coherence", *flags, "--bloch", "0,0,-0.2", "--points", "9", "--grid", "16x16",
+                "--out", sweep]) == 0
+    _, header, rows, _ = load_csv(sweep)
+    taus = [[perp, 0.0, -0.2] for perp in column(header, rows, "coherence_l1")]
+    sigma_vn = column(header, rows, "sigma_vn")
+    assert_vn_column_is_the_closed_form(taus, sigma_vn, closed, 1e-13)
+    # the sweep ends on the pure states, where the rate diverges
+    assert math.isnan(sigma_vn[-1]) and len(finite(sigma_vn)) == 8
+    # a pure initial state, mixed from the first step on
+    assert run(["evolve", *flags, "--bloch", "0.6,0,0.8", "--tmax", "1", "--steps", "50", "--grid", "16x16",
+                "--out", trajectory]) == 0
+    _, header, rows, _ = load_csv(trajectory)
+    taus = [row[1:4] for row in rows]
+    assert header[1:4] == ["tau_x", "tau_y", "tau_z"]
+    sigma_vn = column(header, rows, "sigma_vn")
+    assert math.isnan(sigma_vn[0]) and len(finite(sigma_vn)) == 50
+    scale = max(abs(x) for x in finite(sigma_vn))
+    assert_vn_column_is_the_closed_form(taus, sigma_vn, closed, 1e-12, scale)
+
+
+def test_fig2_von_neumann_column_is_the_closed_form(fig_dir):
+    for name, closed in (
+        ("dephasing", lambda tau: ep_vn_qubit_dephasing(tau, 1.0)),
+        ("damping", lambda tau: ep_vn_qubit_damping(tau, BathParams.from_tau_bar(1.0, 0.0))),
+    ):
+        _, header, rows, _ = load_csv(fig_dir / f"fig2_{name}.csv")
+        taus = [[perp, 0.0, 0.0] for perp in column(header, rows, "coherence_l1")]
+        sigma_vn = column(header, rows, "sigma_vn")
+        assert_vn_column_is_the_closed_form(taus, sigma_vn, closed, 1e-13)
+        assert math.isnan(sigma_vn[-1]) and len(finite(sigma_vn)) == 50
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["evolve", "--channel", "dephasing", "--lambda", "1", "--tmax", "0.1", "--steps", "2", "--grid", "16x16"],
+         "--bloch", "-0.5,0,0"),
+        (["sweep-coherence", "--channel", "damping", "--points", "3", "--grid", "16x16"], "--tau-bar-z", "-1e-3"),
+        (["sweep-coherence", "--channel", "damping", "--points", "3", "--grid", "16x16"], "--tau-bar-z", "-.5e-1"),
+    ],
+)
+def test_a_negative_value_reads_the_same_in_either_spelling(tmp_path, argv, flag, value):
+    # argparse alone takes `-0.5,0,0` or `-1e-3` for a flag of its own and refuses `--bloch -0.5,0,0`
+    assert run([*argv, flag, value, "--out", tmp_path / "spaced.csv"]) == 0
+    assert run([*argv, f"{flag}={value}", "--out", tmp_path / "joined.csv"]) == 0
+    assert (tmp_path / "spaced.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()

@@ -1,8 +1,8 @@
 """An import a module never uses is dead code that no linter here reports; this test does.
 
-It reads the package modules and the demos.  An import kept on purpose,
-such as a name bench/tracer.py wraps, says so with `# noqa: F401` on its
-line.  The layering gate below holds `dynamics` to matrices: channels have
+It reads the package modules, the demos and the tests.  An import kept on
+purpose, such as a name bench/tracer.py wraps, says so with `# noqa: F401`
+on its line.  The layering gate below holds `dynamics` to matrices: channels have
 no phase-space form, since the phase-space dissipator is the Husimi
 function of the matrix one.  The public-surface gate fails on a name the
 package exports that only its own module and the tests read, unless the
@@ -20,6 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "spinphase"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 # exported names that no package module but their own, no demo and no benchmark file reads
 UNREAD_EXPORTS = {
@@ -71,7 +72,9 @@ def test_the_layering_check_finds_every_import_form():
     assert imported_modules(source) == {"spins", "errors", "cli", "phase_space"}
 
 
-@pytest.mark.parametrize("path", MODULES + DEMOS, ids=lambda path: f"demos/{path.name}" if path in DEMOS else path.name)
+@pytest.mark.parametrize(
+    "path", MODULES + DEMOS + TESTS, ids=lambda path: path.name if path in MODULES else f"{path.parent.name}/{path.name}"
+)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -51,8 +51,8 @@ def test_cli_calls_go_through_the_traced_names(tmp_path):
     assert metrics["phase_space.husimi_calls"] == 2
     assert metrics["entropy_production.quad_calls"] == 2
     assert metrics["phase_space.wehrl_entropy_s"] > 0.0
-    # a qubit row takes the von Neumann closed form, one call per row
-    assert metrics["entropy_production.vn_calls"] == rows
+    # the von Neumann column is one vn_rates pass, which the tracer does not wrap, at every spin
+    assert metrics["entropy_production.vn_calls"] == 0
     assert metrics["dynamics.steps"] == 70
     assert metrics["dynamics.liouvillian_calls"] == 1  # the channel's generator, from which evolve builds its step map
 

@@ -4,7 +4,7 @@ The benchmark's `sweep_spin4` and `figures_qubit` workloads report their
 per-layer metrics from these rows, so each block of a table's states
 (cli.BLOCK_NODES grid nodes: one state at 128^2, 64 at 16^2) must make
 exactly one stacked Husimi synthesis and one stacked quadrature rate call
-that the tracer sees, and each qubit row one von Neumann rate call.
+that the tracer sees, and each table, qubit or not, one vn_rates pass.
 """
 
 from spinphase import cli
@@ -39,8 +39,8 @@ def test_sweep_and_fig2_rows_go_through_the_traced_names(tmp_path, monkeypatch):
     blocks = 1 + 1 + 2 * 51
     assert metrics["phase_space.husimi_calls"] == blocks
     assert metrics["entropy_production.quad_calls"] == blocks
-    # the qubit rows each take a closed form; the spin-one sweep takes its column in one vn_rates pass
-    assert metrics["entropy_production.vn_calls"] == 4 + 2 * 51
-    assert stacks == [3]
+    # every table takes its column in one vn_rates pass over its stack, which the tracer does not wrap
+    assert metrics["entropy_production.vn_calls"] == 0
+    assert stacks == [4, 3, 51, 51]
     # one Bloch state per qubit point, one seeded draw per random sweep
     assert metrics["spins.state_prep_calls"] == 4 + 1 + 2 * 51
