@@ -8,6 +8,8 @@ The phase-space columns (Husimi fields, quadrature rates, Wehrl entropy)
 take the stack in blocks of at most BLOCK_NODES grid nodes, each block one
 stacked call of each library function: one state per block at 128^2,
 sixteen at 32^2, so a block's temporaries stay those of one 128^2 field.
+One Husimi field per block serves every channel of a table, so fig 2's
+two panels, which share their states, take one pass.
 """
 
 import argparse
@@ -225,6 +227,16 @@ def _reject_unread(flags: dict, reader: str) -> None:
             raise CliError(f"{flag}: not read by {reader}")
 
 
+def _reject_overflow(header: list, rows: list, rates: _Rates) -> None:
+    """Raise a CliError naming the rate flags if a cell of rows is +-inf; nan cells are the documented classes."""
+    infinite = np.isinf(np.array(rows, dtype=float))
+    if infinite.any():
+        row, column = np.argwhere(infinite)[0]
+        # a run's rate flags are its rate metadata keys; gamma_bar is fixed by --tau-bar-z, not given
+        flags = "/".join("--" + key.replace("_", "-") for key in rates.meta if key != "gamma_bar")
+        raise CliError(f"{flags}: the rates overflow: {header[column]} is infinite in row {row}")
+
+
 def _build_channel(args, j: SpinJ) -> _Rates:
     """Channel and bound rates from the rate flags (the library range-checks the rates), its generator built.
 
@@ -265,33 +277,39 @@ class _PhaseSpace(NamedTuple):
     notes: list
 
 
-def _run_rows(rates: _Rates, grid: SphereGrid, states, with_entropy: bool = False) -> tuple:
-    """The phase-space columns of a table's rows, from its (N, d, d) stack, with QFloorWarning silenced.
+def _run_rows(rates: tuple, grid: SphereGrid, states, with_entropy: bool = False) -> list:
+    """The phase-space columns of a table's rows under each channel of rates, from its (N, d, d) stack.
 
     The stack is run in blocks of at most BLOCK_NODES grid nodes (at least
-    one state each), every block one stacked Husimi field, one quadrature
-    report and, with_entropy, one Wehrl entropy call.  Returns the columns
-    (_PhaseSpace) and the distinct floor notes in first-seen order, which
-    the CSV carries as its trailing warning lines.
+    one state each), with QFloorWarning silenced.  Every block is one
+    stacked Husimi field that every channel reads: one quadrature report
+    per channel and, with_entropy, one Wehrl entropy call.  Returns, per
+    channel, its columns (_PhaseSpace) and its distinct floor notes in
+    first-seen order, which the CSV carries as its trailing warning lines.
     """
     states = np.asarray(states, dtype=complex)
     size = max(1, BLOCK_NODES // (grid.n_theta * grid.n_phi))
 
     def block(lo):
         field = husimi_field(states[lo : lo + size], grid)
-        return rates.quad(field), wehrl_entropy(field) if with_entropy else None
+        return [channel.quad(field) for channel in rates], wehrl_entropy(field) if with_entropy else None
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", QFloorWarning)
         results = _run_tasks([functools.partial(block, lo) for lo in range(0, len(states), size)], True)
-    reports = [report for report, _ in results]
-    notes = [state_notes for report in reports for state_notes in report.warnings]
-    return _PhaseSpace(
-        sigma=np.concatenate([report.sigma_dot for report in reports]).tolist(),
-        phi_dot=np.concatenate([report.phi_dot for report in reports]).tolist(),
-        s_q=np.concatenate([s_q for _, s_q in results]).tolist() if with_entropy else None,
-        notes=notes,
-    ), list(dict.fromkeys(note for state_notes in notes for note in state_notes))
+    s_q = np.concatenate([s_q for _, s_q in results]).tolist() if with_entropy else None
+    tables = []
+    # one channel's reports, block by block
+    for reports in zip(*(block_reports for block_reports, _ in results)):
+        notes = [state_notes for report in reports for state_notes in report.warnings]
+        phase = _PhaseSpace(
+            sigma=np.concatenate([report.sigma_dot for report in reports]).tolist(),
+            phi_dot=np.concatenate([report.phi_dot for report in reports]).tolist(),
+            s_q=s_q,
+            notes=notes,
+        )
+        tables.append((phase, list(dict.fromkeys(note for state_notes in notes for note in state_notes))))
+    return tables
 
 
 def _spaced(stop: float, points: int) -> np.ndarray:
@@ -381,7 +399,7 @@ def cmd_evolve(args) -> int:
     s_vn = von_neumann_entropy(traj.states).tolist()
     c_l1 = l1_coherence(traj.states).tolist()
     sigma_vn = rates.sigma_vn(traj.states)
-    phase, notes = _run_rows(rates, grid, traj.states, with_entropy=True)
+    [(phase, notes)] = _run_rows((rates,), grid, traj.states, with_entropy=True)
     closed = [[rates.closed(tau)] if is_qubit else [] for tau in state_values]
     rows = [
         [t * t_scale, *state_values[i].tolist(), s_vn[i], phase.s_q[i], c_l1[i], phase.sigma[i], *closed[i],
@@ -399,6 +417,7 @@ def cmd_evolve(args) -> int:
         meta["bloch"] = args.bloch
     if args.state is not None:
         meta["state_file"] = os.path.basename(args.state)
+    _reject_overflow(header, rows, rates)
     write_csv(args.out, meta, header, rows, notes)
     return 0
 
@@ -406,18 +425,21 @@ def cmd_evolve(args) -> int:
 SWEEP_HEADER = ["coherence_fig", "coherence_l1", "sigma_wehrl", "sigma_vn"]
 
 
-def _sweep_table(rates: _Rates, grid: SphereGrid, states, coherence_fig) -> tuple:
-    """SWEEP_HEADER rows and notes of a stack of states."""
-    sigma_vn = rates.sigma_vn(states)
+def _sweep_table(rates: tuple, grid: SphereGrid, states, coherence_fig) -> list:
+    """SWEEP_HEADER rows and notes of a stack of states, one (rows, notes) per channel of rates, in one pass."""
+    sigma_vn = [channel.sigma_vn(states) for channel in rates]
     c_l1 = l1_coherence(states).tolist()
-    phase, notes = _run_rows(rates, grid, states)
-    return [[coherence_fig[i], c_l1[i], phase.sigma[i], sigma_vn[i]] for i in range(len(states))], notes
+    return [
+        ([[coherence_fig[i], c_l1[i], phase.sigma[i], vn[i]] for i in range(len(states))], notes)
+        for vn, (phase, notes) in zip(sigma_vn, _run_rows(rates, grid, states))
+    ]
 
 
 def _qubit_sweep_states(tau_z: float, n_points: int) -> tuple:
     """(states, figure coherences) of the transverse sweep at fixed tau_z, out to the pure states."""
     perps = _spaced(math.sqrt(max(0.0, 1.0 - tau_z * tau_z)), n_points)
-    return np.array([bloch_to_rho([perp, 0.0, tau_z]) for perp in perps]), 2.0 * perps * perps
+    taus = np.column_stack((perps, np.zeros(n_points), np.full(n_points, tau_z)))
+    return bloch_to_rho(taus), 2.0 * perps * perps
 
 
 def cmd_sweep_coherence(args) -> int:
@@ -440,14 +462,15 @@ def cmd_sweep_coherence(args) -> int:
                 raise CliError(f"--bloch: a --j 1/2 sweep reads only tau_z, so X and Y must be 0, got {args.bloch!r}")
             tau_z = float(tau[2])
             meta["bloch"] = args.bloch
-        rows, notes = _sweep_table(rates, grid, *_qubit_sweep_states(tau_z, args.points))
+        [(rows, notes)] = _sweep_table((rates,), grid, *_qubit_sweep_states(tau_z, args.points))
     else:
         _reject_unread({"--bloch": args.bloch}, "a sweep above --j 1/2")
         if args.seed is None or args.coherence is None:
             raise CliError("dim > 2 sweeps need --seed and --coherence (the sweep's maximum)")
         states = _draw(j, args.coherence, args.seed, args.points)
-        rows, notes = _sweep_table(rates, grid, states, [math.nan] * args.points)
+        [(rows, notes)] = _sweep_table((rates,), grid, states, [math.nan] * args.points)
         meta.update({"seed": args.seed, "coherence_max": repr(args.coherence)})
+    _reject_overflow(SWEEP_HEADER, rows, rates)
     write_csv(args.out, meta, SWEEP_HEADER, rows, notes)
     return 0
 
@@ -483,14 +506,15 @@ def _fig1(out_dir: str) -> None:
 
 
 def _fig2(out_dir: str) -> None:
-    """Wehrl vs vN production rates across the coherence sweep, both channels."""
+    """Wehrl vs vN production rates across the coherence sweep, both channels from one pass over its states."""
     j = SpinJ(1)
     grid = SphereGrid(*FIG_GRID)
-    for name, rates in (
-        ("dephasing", _dephasing(1.0, j)),
-        ("damping", _damping(BathParams.from_tau_bar(1.0, 0.0), j, {"gamma_bar": repr(1.0)})),
-    ):
-        rows, notes = _sweep_table(rates, grid, *_qubit_sweep_states(0.0, 51))
+    panels = {
+        "dephasing": _dephasing(1.0, j),
+        "damping": _damping(BathParams.from_tau_bar(1.0, 0.0), j, {"gamma_bar": repr(1.0)}),
+    }
+    tables = _sweep_table(tuple(panels.values()), grid, *_qubit_sweep_states(0.0, 51))
+    for (name, rates), (rows, notes) in zip(panels.items(), tables):
         meta = {
             "command": "fig",
             "figure": 2,
@@ -506,9 +530,9 @@ def _fig2(out_dir: str) -> None:
 
 
 def _write_curves(path: str, rates: _Rates, grid: SphereGrid, times, states, coherences, meta: dict) -> None:
-    """Write a figure panel's sigma curves, one row per time of a (time x coherence) stack of states."""
+    """Write a figure panel's sigma curves, one row per time of a time-major (time x coherence) stack of states."""
     states = np.asarray(states, dtype=complex)
-    phase, notes = _run_rows(rates, grid, states.reshape(-1, *states.shape[-2:]))
+    [(phase, notes)] = _run_rows((rates,), grid, states.reshape(-1, *states.shape[-2:]))
     width = len(coherences)
     rows = [[t] + phase.sigma[k * width : (k + 1) * width] for k, t in enumerate(times)]
     header = [rates.time[0]] + [f"sigma_c_{c:g}" for c in coherences]
@@ -551,7 +575,7 @@ def _fig3(out_dir: str) -> None:
     for name, rates, initial, bloch, meta in panels:
         scale = rates.time[1]
         tau0s = [initial(c) for c in FIG3_COHERENCES]
-        states = [[bloch_to_rho(bloch(tau0, t / scale)) for tau0 in tau0s] for t in times]
+        states = bloch_to_rho(np.array([bloch(tau0, t / scale) for t in times for tau0 in tau0s]))
         meta = {"figure": 3, "panel": name, **meta}
         _write_curves(os.path.join(out_dir, f"fig3_{name}.csv"), rates, grid, times, states, FIG3_COHERENCES, meta)
 

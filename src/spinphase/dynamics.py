@@ -32,6 +32,7 @@ from .spins import (
     EIG_FLOOR,
     SpinJ,
     SpinOperators,
+    _above_floor,
     check_density_matrix,
     read_only,
     relative_entropy_of_coherence,
@@ -252,7 +253,8 @@ def evolve(spec: Channel, rho0: np.ndarray, t_max: float, n_steps: int) -> Traje
     trace-renormalized in one batched pass at the end, which equals doing
     so after every step up to roundoff.  A step map that diverges (an
     overflow anywhere in the stack) raises StepCountError.  Otherwise one
-    batched eigenvalue pass checks the whole trajectory and emits
+    batched Cholesky floor check (spins._above_floor) passes the whole
+    trajectory, or a batched eigenvalue pass finds its minimum and emits
     PositivityWarning once if any state dips below spins.EIG_FLOOR
     (-1e-10), the floor every state check applies, which signals a
     too-coarse step size.
@@ -291,13 +293,14 @@ def evolve(spec: Channel, rho0: np.ndarray, t_max: float, n_steps: int) -> Traje
         raise StepCountError(
             f"{n_steps} steps over t_max = {t_max:g} are too coarse for this channel: the step map diverges"
         )
-    worst = float(np.linalg.eigvalsh(tail).min())
-    if worst < EIG_FLOOR:
-        warnings.warn(
-            f"minimum eigenvalue reached {worst:.3e}; steps too coarse for this channel",
-            PositivityWarning,
-            stacklevel=2,
-        )
+    if not _above_floor(tail):
+        worst = float(np.linalg.eigvalsh(tail).min())
+        if worst < EIG_FLOOR:
+            warnings.warn(
+                f"minimum eigenvalue reached {worst:.3e}; steps too coarse for this channel",
+                PositivityWarning,
+                stacklevel=2,
+            )
     return Trajectory(times=times, states=states)
 
 

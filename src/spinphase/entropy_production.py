@@ -311,8 +311,8 @@ def vn_rates(states: np.ndarray, channel) -> tuple:
     # ln 1 = 0 stands in at a rank-deficient state, whose row is NaN below
     log_rho = (vecs * np.log(np.where(full[:, None], vals, 1.0))[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
     gen = (states.reshape(len(states), -1) @ channel.generator.T).reshape(states.shape)
-    # tr(G X) = vdot(X, G) for Hermitian X
-    sigma = -np.einsum("nij,nij->n", (log_rho - np.diag(log_eq)).conj(), gen).real
+    # tr(G X) = vdot(X, G) for Hermitian X; + 0.0 makes an exact zero rate +0.0, not the negation's -0.0
+    sigma = -np.einsum("nij,nij->n", (log_rho - np.diag(log_eq)).conj(), gen).real + 0.0
     flux = np.einsum("nii,i->n", gen, log_eq).real
     ds_dt = -np.einsum("nij,nij->n", log_rho.conj(), gen).real
     return tuple(np.where(full, rate, np.nan) for rate in (sigma, flux, ds_dt))

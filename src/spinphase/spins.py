@@ -98,8 +98,28 @@ def make_spin_operators(j: SpinJ) -> SpinOperators:
     return SpinOperators(j=j, jx=jx, jy=jy, jz=jz, jplus=jplus, jminus=jminus)
 
 
+def _above_floor(states) -> bool:
+    """True when one Cholesky factorization shows every eigenvalue of a (..., d, d) Hermitian stack is >= EIG_FLOOR.
+
+    The factorization of states - (EIG_FLOOR + 1e-13) I exists when each
+    state's smallest eigenvalue clears the floor by 1e-13.  Cholesky's
+    backward error for a trace-1 state with d <= 9 is far below 1e-13, so
+    whenever it succeeds eigvalsh accepts every state too.  False is no
+    verdict: the caller runs eigvalsh to find the state and its eigenvalue.
+    """
+    try:
+        np.linalg.cholesky(states + (-EIG_FLOOR - 1e-13) * np.eye(states.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _validated(rho, with_vectors: bool) -> tuple:
-    """The one body of state checks: (rho, eigenvalues, eigenvectors or None) from one decomposition."""
+    """The one body of state checks: (rho, eigenvalues, eigenvectors) from one decomposition.
+
+    Without vectors the floor is checked by _above_floor first, and a state
+    that clears it returns None for both.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionError(f"density matrix must be square, got shape {rho.shape}")
@@ -115,6 +135,8 @@ def _validated(rho, with_vectors: bool) -> tuple:
         raise StateValidationError(f"trace must be 1, got {tr:.15g}")
     if with_vectors:
         vals, vecs = np.linalg.eigh(rho)
+    elif _above_floor(rho):
+        return rho, None, None
     else:
         vals, vecs = np.linalg.eigvalsh(rho), None
     # LAPACK returns the eigenvalues in ascending order
@@ -144,11 +166,13 @@ def density_eigh(rho: np.ndarray) -> tuple:
 
 
 def _validated_stack(states, dim: int | None, with_vectors: bool, named: bool = True) -> tuple:
-    """The stacked body of state checks: (states, eigenvalues, eigenvectors or None) of an (N, d, d) stack.
+    """The stacked body of state checks: (states, eigenvalues, eigenvectors) of an (N, d, d) stack.
 
-    One batched decomposition checks every state; the first bad one is
-    re-checked by _validated for its message, which names it as state <i>
-    when named.  d is read from the shape when dim is None.
+    One batched decomposition checks every state (without vectors, one
+    _above_floor pass first, and None for both when every state clears
+    it); the first bad one is re-checked by _validated for its message,
+    which names it as state <i> when named.  d is read from the shape when
+    dim is None.
     """
     states = np.asarray(states, dtype=complex)
     dim = states.shape[-1] if dim is None else dim
@@ -162,7 +186,12 @@ def _validated_stack(states, dim: int | None, with_vectors: bool, named: bool = 
     ok = fine or (herm.max(axis=(1, 2)) <= HERMITICITY_TOL) & (trace_error <= TRACE_TOL)
     # a state that already failed is swapped for a valid one, so the eigh sees finite Hermitian input only
     checked = states if fine else np.where(ok[:, None, None], states, np.eye(dim))
-    vals, vecs = np.linalg.eigh(checked) if with_vectors else (np.linalg.eigvalsh(checked), None)
+    if with_vectors:
+        vals, vecs = np.linalg.eigh(checked)
+    elif fine and _above_floor(states):
+        return states, None, None
+    else:
+        vals, vecs = np.linalg.eigvalsh(checked), None
     # eigenvalues come in ascending order, so the smallest of all is some state's first
     if not (fine and vals.min(initial=0.0) >= EIG_FLOOR):
         first = int(np.argmin(ok & (vals[:, 0] >= EIG_FLOOR)))
@@ -202,17 +231,39 @@ def check_bloch_vector(tau) -> tuple:
         raise DimensionError(f"Bloch vector must have 3 components, got shape {tau.shape}")
     if not np.all(np.isfinite(tau)):
         raise BlochNormError(f"Bloch vector {tau} has non-finite components")
-    norm = float(np.linalg.norm(tau))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(tau))
     if norm > 1.0 + 1e-12:
         raise BlochNormError(f"Bloch norm {norm:.15g} exceeds 1")
     return tau, norm
 
 
 def bloch_to_rho(tau) -> np.ndarray:
-    """Qubit state (1 + tau . sigma) / 2 from a finite Bloch vector of norm <= 1."""
-    tau = check_bloch_vector(tau)[0]
-    rho = 0.5 * (np.eye(2, dtype=complex) + tau[0] * PAULI_X + tau[1] * PAULI_Y + tau[2] * PAULI_Z)
-    return rho
+    """Qubit state (1 + tau . sigma) / 2 from a finite Bloch vector of norm <= 1, or each state of an (N, 3) stack.
+
+    A stack gives an (N, 2, 2) stack, validated in one pass, whose error
+    names the first bad vector as vector <i>; each state is bit for bit the
+    one its vector alone gives.
+    """
+    tau = np.asarray(tau, dtype=float)
+    stack = tau.ndim == 2
+    if not stack:
+        tau = check_bloch_vector(tau)[0][None]
+    elif tau.shape[1] != 3:
+        raise DimensionError(f"expected an (N, 3) stack of Bloch vectors, got shape {tau.shape}")
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the stacked norm can differ from check_bloch_vector's in its last bits, so a vector within half
+            # the tolerance of the bound, or non-finite, is checked alone: the verdict is check_bloch_vector's
+            near = ~(np.linalg.norm(tau, axis=1) <= 1.0 + 0.5e-12)
+        for i in np.flatnonzero(near):
+            try:
+                check_bloch_vector(tau[i])
+            except BlochNormError as exc:
+                raise BlochNormError(f"vector {i}: {exc}") from None
+    x, y, z = (tau[:, k, None, None] for k in range(3))
+    rho = 0.5 * (np.eye(2, dtype=complex) + x * PAULI_X + y * PAULI_Y + z * PAULI_Z)
+    return rho if stack else rho[0]
 
 
 def rho_to_bloch(rho: np.ndarray) -> np.ndarray:

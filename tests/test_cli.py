@@ -359,6 +359,13 @@ SPIN_200_DAMPING = ["--channel", "damping", "--gamma", "1", "--nbar", "0.5", *SP
         # a finite rate whose dissipator weights, lambda (m - m')^2 / 2, overflow at this spin
         (["sweep-coherence", "--channel", "dephasing", "--lambda", "1e308", "--j", "2", "--seed", "1", "--coherence",
           "0.5", "--points", "3", "--grid", "16x16"], "dephasing rate"),
+        # finite damping rates whose von Neumann rate overflows to inf at a diagonal state
+        (["sweep-coherence", "--channel", "damping", "--gamma", "1e300", "--nbar", "1e7", "--j", "2", "--seed", "1",
+          "--coherence", "0.5", "--points", "3", "--grid", "16x16"],
+         "error: --gamma/--nbar: the rates overflow: sigma_vn is infinite in row 0"),
+        (["evolve", "--channel", "damping", "--gamma", "1e300", "--nbar", "1e7", "--j", "2", "--seed", "1",
+          "--coherence", "0", "--steps", "2", "--tmax", "1e-310", "--grid", "16x16"],
+         "error: --gamma/--nbar: the rates overflow: sigma_vn is infinite in row 0"),
     ],
 )
 def test_non_finite_input_is_a_named_error(tmp_path, capsys, argv, named):
@@ -388,6 +395,17 @@ def test_a_sweep_checks_the_whole_bloch_vector(tmp_path, capsys):
     assert run(argv + ["--bloch", "5,0,0.2", "--out", out]) == 2
     assert "Bloch norm 5.00399840127872 exceeds 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_fig2_panels_are_the_sweeps_of_their_channels(tmp_path):
+    # below the metadata lines, each panel is the --points 51 --grid 128x128 sweep of its channel, byte for byte
+    assert run(["fig", "--id", "2", "--out", tmp_path]) == 0
+    for name, rate in (("dephasing", ["--lambda", "1"]), ("damping", ["--tau-bar-z", "0"])):
+        out = tmp_path / f"{name}.csv"
+        assert run(["sweep-coherence", "--channel", name, *rate, "--points", "51", "--grid", "128x128", "--out", out]) == 0
+        panel = (tmp_path / f"fig2_{name}.csv").read_text()
+        sweep = out.read_text()
+        assert panel[panel.index("coherence_fig,") :] == sweep[sweep.index("coherence_fig,") :]
 
 
 QUBIT_SWEEP = ["sweep-coherence", "--channel", "dephasing", "--lambda", "1", "--points", "3", "--grid", "16x16"]

@@ -31,7 +31,7 @@ from spinphase import (
     vn_rates,
 )
 from spinphase import dynamics
-from spinphase.spins import PAULI_X
+from spinphase.spins import EIG_FLOOR, PAULI_X
 
 QUBIT = SpinJ(1)
 OPS = make_spin_operators(QUBIT)
@@ -232,6 +232,21 @@ def test_evolve_warns_when_step_breaks_positivity():
     chan = DephasingChannel(lam=10.0, ops=OPS)
     with pytest.warns(PositivityWarning):
         evolve(chan, bloch_to_rho([1.0, 0.0, 0.0]), 1.0, 1)
+
+
+@pytest.mark.parametrize("offset", [1e-12, -1e-12])
+def test_evolve_warns_exactly_when_eigvalsh_finds_a_state_below_the_floor(offset):
+    # one coarse step multiplies the coherence by a factor f > 1, so the coherence
+    # (1/2 - EIG_FLOOR - offset) / f ends the step with smallest eigenvalue EIG_FLOOR + offset
+    chan = DephasingChannel(lam=6.0, ops=OPS)
+    f = evolve(chan, bloch_to_rho([0.5, 0.0, 0.0]), 1.0, 1).states[1][0, 1].real / 0.25
+    rho0 = bloch_to_rho([2.0 * (0.5 - EIG_FLOOR - offset) / f, 0.0, 0.0])
+    if offset < 0:
+        with pytest.warns(PositivityWarning, match=r"^minimum eigenvalue reached -1\.010e-10;"):
+            traj = evolve(chan, rho0, 1.0, 1)
+    else:
+        traj = evolve(chan, rho0, 1.0, 1)  # a PositivityWarning fails the test
+    assert (np.linalg.eigvalsh(traj.states[1])[0] < EIG_FLOOR) == (offset < 0)
 
 
 def test_pauli_rates_qubit_damping():

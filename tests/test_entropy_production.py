@@ -818,6 +818,22 @@ def test_vn_rates_low_temperature_reference_values():
         assert sigma == pytest.approx(expected, rel=1e-14)
 
 
+# at two_j 2 and 6 the mixed state's rate is a roundoff 1e-32, not zero
+@pytest.mark.parametrize("two_j", [1, 4, 8])
+def test_a_zero_von_neumann_rate_is_positive_zero(two_j):
+    ops = make_spin_operators(SpinJ(two_j))
+    d = two_j + 1
+    populations = np.arange(1.0, d + 1.0)
+    diagonal = np.diag(populations / populations.sum()).astype(complex)
+    mixed = np.eye(d, dtype=complex) / d
+    for state, chan in (
+        (diagonal, DephasingChannel(lam=1.0, ops=ops)),
+        (mixed, BathParams.from_tau_bar(1.0, 0.0).channel(ops)),
+    ):
+        sigma = vn_rates(state[None], chan)[0][0]
+        assert sigma == 0.0 and math.copysign(1.0, sigma) == 1.0
+
+
 def test_vn_rates_give_nan_at_a_rank_deficient_state_only():
     ops = make_spin_operators(SpinJ(2))
     pure = np.diag([0.0, 1.0, 0.0]).astype(complex)

@@ -20,7 +20,7 @@ from spinphase import (
     rho_to_bloch,
     von_neumann_entropy,
 )
-from spinphase.spins import PAULI_X, PAULI_Y, PAULI_Z, density_eigh
+from spinphase.spins import EIG_FLOOR, PAULI_X, PAULI_Y, PAULI_Z, check_density_stack, density_eigh
 
 LN2 = math.log(2.0)
 
@@ -76,6 +76,29 @@ def test_check_density_matrix_accepts_and_rejects():
         check_density_matrix(np.diag([1.2, -0.2]))
 
 
+def near_floor_state(dim: int, offset: float, seed: int) -> np.ndarray:
+    """A state whose smallest eigenvalue is EIG_FLOOR + offset, in a random basis."""
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    lowest = EIG_FLOOR + offset
+    vals = np.concatenate(([lowest], (1.0 - lowest) * rng.dirichlet(np.ones(dim - 1))))
+    rho = (basis * vals) @ basis.conj().T
+    return (rho + rho.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 9])
+def test_the_floor_verdict_is_eigvalsh_s_a_hair_either_side_of_the_floor(dim):
+    above, below = (near_floor_state(dim, offset, seed=dim) for offset in (1e-12, -1e-12))
+    # eigvalsh reads the two spectra on either side of the floor
+    assert np.linalg.eigvalsh(above)[0] >= EIG_FLOOR > np.linalg.eigvalsh(below)[0]
+    check_density_matrix(above)
+    assert check_density_stack(np.stack([above, above])).shape == (2, dim, dim)
+    with pytest.raises(StateValidationError, match=r"^negative eigenvalue -1\.010e-10 below floor -1e-10$"):
+        check_density_matrix(below)
+    with pytest.raises(StateValidationError, match=r"^state 2: negative eigenvalue -1\.010e-10 below floor -1e-10$"):
+        check_density_stack(np.stack([above, above, below, above]))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.inf, math.inf), complex(0.0, -math.inf)])
 @pytest.mark.parametrize("where", [(0, 0), (2, 2), (0, 1), (2, 0)])
 def test_non_finite_entries_are_named_on_and_off_the_diagonal(bad, where):
@@ -97,6 +120,31 @@ def test_bloch_round_trip():
     np.testing.assert_allclose(rho_to_bloch(rho), tau, atol=1e-12)
     np.testing.assert_allclose(bloch_to_rho([0.0, 0.0, 0.0]), np.eye(2) / 2.0, atol=1e-15)
     np.testing.assert_allclose(bloch_to_rho([0.0, 0.0, 1.0]), np.diag([1.0, 0.0]), atol=1e-15)
+
+
+def test_a_stack_of_bloch_vectors_gives_each_vector_s_state_bit_for_bit():
+    rng = np.random.default_rng(3)
+    taus = rng.normal(size=(40, 3))
+    taus /= np.linalg.norm(taus, axis=1)[:, None] * rng.uniform(1.0, 1.5, size=(40, 1))
+    # zeros of both signs, pure states, and a norm above 1 within the tolerance
+    taus[:3] = [[0.0, -0.0, 0.0], [-0.0, 0.0, -1.0], [1.0 + 0.8e-12, 0.0, 0.0]]
+    taus[3:8] /= np.linalg.norm(taus[3:8], axis=1)[:, None]
+    stack = bloch_to_rho(taus)
+    reference = np.array([0.5 * (np.eye(2, dtype=complex) + t[0] * PAULI_X + t[1] * PAULI_Y + t[2] * PAULI_Z) for t in taus])
+    assert stack.shape == (40, 2, 2)
+    assert stack.tobytes() == reference.tobytes() == np.array([bloch_to_rho(t) for t in taus]).tobytes()
+    assert bloch_to_rho(np.empty((0, 3))).shape == (0, 2, 2)
+    # the first bad vector is named, with the error it raises alone
+    for bad in ([1.0, 0.5, 0.0], [1.0 + 2e-12, 0.0, 0.0], [0.0, math.nan, 0.0], [math.inf, 0.0, 0.0], [1e200, 0.0, 0.0]):
+        stack = taus.copy()
+        stack[[7, 9]] = bad, [2.0, 0.0, 0.0]
+        with pytest.raises(BlochNormError) as own:
+            bloch_to_rho(bad)
+        with pytest.raises(BlochNormError) as stacked:
+            bloch_to_rho(stack)
+        assert str(stacked.value) == f"vector 7: {own.value}"
+    with pytest.raises(DimensionError, match=r"expected an \(N, 3\) stack of Bloch vectors, got shape \(4, 2\)"):
+        bloch_to_rho(np.zeros((4, 2)))
 
 
 def test_rho_to_bloch_on_a_stack_equals_the_pauli_traces():
